@@ -227,10 +227,12 @@ def _parse_settings(spec: str, convention: str) -> SettingsQuad:
             f"[run] settings: expected 'canonical' or four comma-separated radians, got {spec!r}"
         )
     try:
-        a0, a1, b0, b1 = (float(p) for p in parts)
+        phases = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigurationError(f"[run] settings: non-numeric phase in {spec!r}") from exc
-    return SettingsQuad(a0, a1, b0, b1)
+    if not all(math.isfinite(p) for p in phases):
+        raise ConfigurationError(f"[run] settings: phases must be finite, got {spec!r}")
+    return SettingsQuad(*phases)
 
 
 def build_config(sections: dict[str, dict[str, Any]]) -> RunConfig:
@@ -312,6 +314,8 @@ def build_config(sections: dict[str, dict[str, Any]]) -> RunConfig:
     for key in ("duration_per_setting", "sweep_duration_per_point"):
         if not run[key] > 0:
             raise ConfigurationError(f"[run] {key} must be positive")
+    if r["coincidence"]["sync_max_pulses"] < 1:
+        raise ConfigurationError("[coincidence] sync_max_pulses must be at least 1")
     if run["n_pairs"] <= 0:
         raise ConfigurationError("[run] n_pairs must be positive")
     if run["sweep"] and run["sweep_points"] < 5:

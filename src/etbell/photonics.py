@@ -5,9 +5,9 @@ interferometer path (fair splitter), is routed by the configured geometry,
 survives the channel with a party-dependent probability, gets detector
 jitter, and lands in one of four detector channels.  Dark counts are added
 per detector and a non-paralyzable dead time prunes each channel last.
-Everything is generated shard by shard with per-shard derived seeds, so
-runs of tens of millions of pairs stream through bounded memory and remain
-bit-reproducible.
+Outcomes are drawn shard by shard with per-shard derived seeds, so runs
+remain bit-reproducible.  A block's emission times are drawn and sorted
+all at once, so its memory grows with the number of emitted pairs.
 
 Detector outcomes are sampled from the closed-form coincidence
 probabilities (quantum mode) or from a local strategy's response functions
@@ -238,12 +238,28 @@ def apply_dead_time(t_ps: np.ndarray, dead_time: float) -> np.ndarray:
 
 
 def _dead_time_mask(t_ps: np.ndarray, dead_ps: int) -> np.ndarray:
-    kept = np.zeros(len(t_ps), dtype=bool)
-    last = None
-    for i, ts in enumerate(t_ps.tolist()):
-        if last is None or ts - last >= dead_ps:
-            kept[i] = True
-            last = ts
+    """Keep mask of the non-paralyzable dead time over one sorted channel.
+
+    A tag at least ``dead_ps`` after its predecessor is always kept, so it
+    heads a run of tags closer than that to their predecessors.  Inside a
+    run, the kept tags form a chain from the head, each one the first tag
+    ``dead_ps`` after the last; the chains of all runs advance together
+    until each leaves its run.
+    """
+    n = len(t_ps)
+    kept = np.zeros(n, dtype=bool)
+    if n == 0:
+        return kept
+    heads = np.flatnonzero(np.concatenate(([True], np.diff(t_ps) >= dead_ps)))
+    kept[heads] = True
+    run_end = np.append(heads[1:], n)
+    longer = run_end - heads > 1
+    cur, run_end = heads[longer], run_end[longer]
+    while cur.size:
+        nxt = np.searchsorted(t_ps, t_ps[cur] + dead_ps, side="left")
+        inside = nxt < run_end
+        cur, run_end = nxt[inside], run_end[inside]
+        kept[cur] = True
     return kept
 
 

@@ -544,14 +544,21 @@ def _save_block_tags(
 _REQUIRED_ARTIFACTS = ("manifest.json", "resolved.cfg", "counts.csv", "bell.json")
 
 
+def _read_artifact(path: Path) -> dict:
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ReportError(f"unreadable run artifact {path}: {exc}") from exc
+
+
 def render_summary(run_dir: str | Path) -> str:
     """Human-readable digest of a run directory's Bell statistics."""
     run_dir = Path(run_dir)
     missing = [name for name in _REQUIRED_ARTIFACTS if not (run_dir / name).exists()]
     if missing:
         raise ReportError(f"run directory {run_dir} is missing artifacts: {missing}")
-    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-    bell = json.loads((run_dir / "bell.json").read_text(encoding="utf-8"))
+    manifest = _read_artifact(run_dir / "manifest.json")
+    bell = _read_artifact(run_dir / "bell.json")
 
     lines = []
     lines.append(f"run: mode={manifest['mode']} geometry={manifest['geometry']} seed={manifest['seed']}")

@@ -1,12 +1,17 @@
-"""Streaming coincidence analysis over picosecond-resolution time tags.
+"""Coincidence analysis over picosecond-resolution time tags.
 
 All timestamps are integer picoseconds from the run origin so window
 arithmetic is exact; no floating-point drift accumulates over km-scale
-delays.  The matcher is a single forward pass per stream pair with
-earliest-eligible-match-wins tie breaking, and each tag enters at most one
-record.  A deliberately naive reference matcher (``match_bruteforce``)
+delays.  The matcher works on one Alice and one Bob detector stream at a
+time: each Bob tag, in time order, takes the earliest unused eligible
+Alice tag, so within that detector pair each tag enters at most one
+record.  One-to-one holds per detector pair only: an Alice tag can enter
+one record per Bob detector, and a Bob tag one per Alice detector.  The
+matcher resolves in bulk, with numpy, every Bob tag whose candidate Alice
+tags no other Bob tag can reach, and walks only the contended rest in a
+scalar loop.  A deliberately naive reference matcher (``match_bruteforce``)
 implements the same eligibility rule from scratch and exists only to
-cross-check the streaming pass.
+cross-check it.
 
 File formats: a binary stream of (channel u8, timestamp u64 ps) records
 behind a one-line versioned header, and a plain ``channel,timestamp_ps``
@@ -138,65 +143,87 @@ def match(
     alice_detector: int = 1,
     bob_detector: int = 1,
 ) -> CoincidenceSet:
-    """Single-pass windowed matcher over two sorted tag streams.
+    """Windowed matcher over two sorted tag streams.
 
-    Bob tags are visited in time order; each is paired with the earliest
+    Bob tags are taken in time order; each is paired with the earliest
     not-yet-used Alice tag whose delta = t_A - (t_B - offset) falls within
     window/2 of a slot center in {0, +delta_t, -delta_t}.  One-to-one:
     no tag appears in two records.
+
+    Every eligible Alice tag of a Bob tag lies in its hull, the Alice tags
+    with |delta| <= delta_t + window/2.  A Bob tag whose hull shares no
+    Alice tag with another Bob tag's hull cannot lose a candidate to
+    anyone, so its record is the first eligible tag of its hull; those are
+    found for all such Bob tags at once, one candidate per round.  Only
+    the contended Bob tags, whose hulls overlap a neighbour's, walk their
+    hull one by one in Bob order against the Alice tags already used.
     """
     a = _check_sorted(t_alice_ps, "alice")
     b = _check_sorted(t_bob_ps, "bob")
-    al = a.tolist()
-    na = len(al)
-    used = bytearray(na)
-    w = cfg.window_ps
     dt = cfg.delta_t_ps
-    off = cfg.offset_ps
-    span = dt + (w + 1) // 2  # tags beyond +-span from tb can't be eligible
+    half = cfg.window_ps // 2  # |2 d| <= window  <=>  |d| <= window // 2 for integer d
+    tb = b - cfg.offset_ps
+    hull_lo = np.searchsorted(a, tb - (dt + half), side="left")
+    hull_hi = np.searchsorted(a, tb + (dt + half), side="right")
+    # Hull bounds are nondecreasing, so a hull overlaps an earlier one
+    # exactly when it starts before its predecessor's end.
+    overlap = hull_lo[1:] < hull_hi[:-1]
+    contended = np.zeros(len(b), dtype=bool)
+    contended[1:] |= overlap
+    contended[:-1] |= overlap
 
-    out_ia: list[int] = []
-    out_ib: list[int] = []
-    out_delta: list[int] = []
-    out_code: list[int] = []
+    chosen = np.full(len(b), -1, dtype=np.int64)  # Alice index per Bob tag, -1 if none
+    ib = np.flatnonzero(~contended & (hull_lo < hull_hi))
+    j = hull_lo[ib]
+    while ib.size:
+        # Inside the hull, a tag is eligible unless it falls between slots.
+        dist = np.abs(a[j] - tb[ib])
+        hit = (dist <= half) | (dist >= dt - half)
+        chosen[ib[hit]] = j[hit]
+        j += 1
+        more = ~hit & (j < hull_hi[ib])
+        ib, j = ib[more], j[more]
 
-    base = 0
-    for ib, tb_raw in enumerate(b.tolist()):
-        tb = tb_raw - off
-        lo = tb - span
-        hi = tb + span
-        while base < na and (used[base] or al[base] < lo):
-            base += 1
-        i = base
-        while i < na and al[i] <= hi:
-            if not used[i]:
-                d = al[i] - tb
-                two = 2 * d
-                if abs(two) <= w:
-                    code = 0
-                elif abs(two - 2 * dt) <= w:
-                    code = 1
-                elif abs(two + 2 * dt) <= w:
-                    code = 2
-                else:
-                    i += 1
-                    continue
-                used[i] = 1
-                out_ia.append(i)
-                out_ib.append(ib)
-                out_delta.append(d)
-                out_code.append(code)
-                break
-            i += 1
+    ib_c = np.flatnonzero(contended)
+    chosen[ib_c] = _match_contended(
+        a, tb[ib_c].tolist(), hull_lo[ib_c].tolist(), hull_hi[ib_c].tolist(), dt, half
+    )
 
+    ib = np.flatnonzero(chosen >= 0)
+    ia = chosen[ib]
+    delta = a[ia] - tb[ib]
+    code = np.where(np.abs(delta) <= half, 0, np.where(delta > 0, 1, 2)).astype(np.uint8)
     return CoincidenceSet(
         alice_detector=alice_detector,
         bob_detector=bob_detector,
-        alice_index=np.asarray(out_ia, dtype=np.int64),
-        bob_index=np.asarray(out_ib, dtype=np.int64),
-        delta_ps=np.asarray(out_delta, dtype=np.int64),
-        slot_code=np.asarray(out_code, dtype=np.uint8),
+        alice_index=ia,
+        bob_index=ib,
+        delta_ps=delta,
+        slot_code=code,
     )
+
+
+def _match_contended(
+    a: np.ndarray, tb: list[int], lo: list[int], hi: list[int], dt: int, half: int
+) -> list[int]:
+    """Earliest unused eligible Alice index per contended Bob tag, -1 if none.
+
+    Contended tags come in Bob order with their hulls ``[lo, hi)``.  Groups
+    of overlapping hulls share no Alice tag with each other, so one
+    ``used`` set serves them all.
+    """
+    used: set[int] = set()
+    out = []
+    for t, i0, i1 in zip(tb, lo, hi):
+        pick = -1
+        for i, ta in enumerate(a[i0:i1].tolist(), i0):
+            dist = abs(ta - t)
+            if i not in used and (dist <= half or dist >= dt - half):
+                used.add(i)
+                pick = i
+                break
+        out.append(pick)
+    return out
 
 
 def match_bruteforce(
@@ -276,6 +303,32 @@ def franson_postselect(coincidences: CoincidenceSet) -> PostselectResult:
     )
 
 
+_SYNC_CHUNK_PULSES = 8192  # Alice pulses whose lags are built at once
+
+
+def _lag_histogram(a: np.ndarray, b: np.ndarray, span_ps: int, bin_ps: int) -> np.ndarray:
+    """Counts of the lags b - a within +-span_ps, in bins of bin_ps.
+
+    The lags of a chunk of Alice pulses are built with ``np.repeat`` and
+    binned into one histogram, so memory stays bounded by the chunk.
+    """
+    n_bins = (2 * span_ps) // bin_ps + 1
+    hist = np.zeros(n_bins, dtype=np.int64)
+    for start in range(0, len(a), _SYNC_CHUNK_PULSES):
+        ta = a[start : start + _SYNC_CHUNK_PULSES]
+        lo = np.searchsorted(b, ta - span_ps, side="left")
+        n = np.searchsorted(b, ta + span_ps, side="right") - lo
+        # Each pair's Bob index: its pulse's ``lo`` plus its rank in the pulse.
+        idx = np.repeat(lo - (np.cumsum(n) - n), n)
+        idx += np.arange(len(idx))
+        # Every lag lies in [-span, span], so its bin is in range unclipped.
+        bins = b[idx]
+        bins -= np.repeat(ta - span_ps, n)
+        bins //= bin_ps
+        hist += np.bincount(bins, minlength=n_bins)
+    return hist
+
+
 def recover_offset(
     alice_sync_ps: np.ndarray,
     bob_received_ps: np.ndarray,
@@ -301,23 +354,10 @@ def recover_offset(
     if bin_ps <= 0 or span_ps <= bin_ps:
         raise ContractViolation("need bin > 0 and search_span > bin")
 
-    n_bins = (2 * span_ps) // bin_ps + 1
-    lo_idx = np.searchsorted(b, a - span_ps, side="left")
-    hi_idx = np.searchsorted(b, a + span_ps, side="right")
-    counts = hi_idx - lo_idx
-    total_pairs = int(counts.sum())
-    if total_pairs == 0:
+    hist = _lag_histogram(a, b, span_ps, bin_ps)
+    n_bins = len(hist)
+    if not hist.any():
         raise SyncRecoveryError("no tag pairs inside the search span")
-
-    lags = np.empty(total_pairs, dtype=np.int64)
-    pos = 0
-    for ta, lo, hi in zip(a, lo_idx, hi_idx):
-        m = hi - lo
-        if m:
-            lags[pos : pos + m] = b[lo:hi] - ta
-            pos += m
-    bins = np.clip((lags + span_ps) // bin_ps, 0, n_bins - 1)
-    hist = np.bincount(bins, minlength=n_bins)
 
     peak = int(np.argmax(hist))
     peak_count = float(hist[peak])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from etbell import qmodel
@@ -12,6 +13,7 @@ from etbell.photonics import (
     ChannelParams,
     DetectorParams,
     SourceParams,
+    _dead_time_mask,
     apply_dead_time,
     detect,
     generate_pairs,
@@ -198,6 +200,37 @@ def test_apply_dead_time_greedy():
     t = np.array([0, 400, 900, 1500, 1600], dtype=np.int64)
     out = apply_dead_time(t, 500e-12)
     assert out.tolist() == [0, 900, 1500]
+
+
+def dead_time_mask_scalar(t_ps, dead_ps):
+    """Reference dead time: one tag at a time, keep it when the detector is live."""
+    kept = np.zeros(len(t_ps), dtype=bool)
+    last = None
+    for i, ts in enumerate(t_ps.tolist()):
+        if last is None or ts - last >= dead_ps:
+            kept[i] = True
+            last = ts
+    return kept
+
+
+@given(
+    st.lists(st.integers(0, 20_000), max_size=300),
+    st.integers(1, 3_000),
+)
+def test_dead_time_mask_equals_scalar_reference(times, dead_ps):
+    # Bursts, exact ties and gaps of exactly the dead time all occur here.
+    t = np.sort(np.asarray(times, dtype=np.int64))
+    assert np.array_equal(_dead_time_mask(t, dead_ps), dead_time_mask_scalar(t, dead_ps))
+
+
+def test_dead_time_mask_long_chains():
+    # Tags every 0.4 dead times form one run whose kept chain has hundreds
+    # of links; a dense Poisson channel mixes such runs with lone tags.
+    dead = 1_000
+    regular = np.arange(0, 400_000, 400, dtype=np.int64)
+    poisson = np.sort(np.random.default_rng(8).integers(0, 10**7, 20_000))
+    for t in (regular, poisson):
+        assert np.array_equal(_dead_time_mask(t, dead), dead_time_mask_scalar(t, dead))
 
 
 class TestSimulateExperiment:

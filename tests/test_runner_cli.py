@@ -76,6 +76,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="settings"):
             build_config({"run": {"settings": "1, 2, 3"}})
 
+    @pytest.mark.parametrize("spec", ["nan,0,0,0", "0,inf,0,0", "0,0,-inf,0"])
+    def test_settings_must_be_finite(self, spec):
+        with pytest.raises(ConfigurationError, match="finite"):
+            build_config({"run": {"settings": spec}})
+
+    @pytest.mark.parametrize("pulses", [-5, 0])
+    def test_sync_max_pulses_must_be_positive(self, pulses):
+        with pytest.raises(ConfigurationError, match="sync_max_pulses"):
+            build_config({"coincidence": {"sync_max_pulses": pulses}})
+        assert build_config({"coincidence": {"sync_max_pulses": 1}}).sync_max_pulses == 1
+
     def test_ini_and_json_mirror_agree(self, tmp_path):
         ini = tmp_path / "run.cfg"
         ini.write_text("[run]\nseed = 9\nmode = quantum\n\n[source]\npair_rate = 1234.0\n")
@@ -200,6 +211,16 @@ class TestReport:
         with pytest.raises(ReportError, match="missing artifacts"):
             render_summary(out)
 
+    @pytest.mark.parametrize("artifact", ["bell.json", "manifest.json"])
+    def test_report_truncated_artifact(self, tmp_path, artifact, capsys):
+        out = run_experiment(fast_config(), tmp_path / "cut")
+        path = out / artifact
+        path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
+        with pytest.raises(ReportError, match=artifact):
+            report(out)
+        assert cli.main(["report", str(out)]) == cli.EXIT_RUNTIME
+        assert "unreadable run artifact" in capsys.readouterr().err
+
 
 class TestCli:
     def test_run_and_report(self, tmp_path, capsys):
@@ -232,6 +253,13 @@ class TestCli:
         assert cli.main(["run", str(cfg_path), "--out", str(out_dir), "--seed", "77"]) == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["seed"] == 77
+
+    def test_non_finite_settings_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "nan.cfg"
+        cfg_path.write_text("[run]\nsettings = nan,0,0,0\n")
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "never")]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
 
     def test_missing_config_exit_code(self, capsys):
         assert cli.main(["run", "no-such-config.cfg", "--out", "/tmp/never"]) == 1

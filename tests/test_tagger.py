@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from etbell import tagger
 from etbell.errors import ContractViolation, SyncRecoveryError
 from etbell.tagger import (
     CoincidenceConfig,
@@ -114,6 +116,51 @@ class TestMatch:
         assert len(set(out.bob_index.tolist())) == len(out)
 
 
+@st.composite
+def clustered_streams(draw):
+    """Dense Alice/Bob streams bunched around shared centers, so many Bob
+    tags reach the same Alice tags and hulls hold several candidates."""
+    dt = draw(st.integers(3, 400))
+    window = draw(st.integers(1, (dt - 1) // 2))  # odd and even widths, 2 w < dt
+    offset = draw(st.integers(-20 * dt, 20 * dt))
+    centers = draw(st.lists(st.integers(0, 30 * dt), min_size=1, max_size=5))
+    tags = st.lists(
+        st.tuples(st.sampled_from(centers), st.integers(-2 * dt, 2 * dt)), max_size=80
+    )
+
+    def stream(shift):
+        return np.sort(np.array([c + j + shift for c, j in draw(tags)], dtype=np.int64))
+
+    cfg = CoincidenceConfig(window_ps=window, offset_ps=offset, delta_t_ps=dt)
+    return stream(0), stream(offset), cfg
+
+
+class TestMatchOracle:
+    """The bulk matcher against the brute-force oracle where tags contend."""
+
+    @given(clustered_streams())
+    def test_clustered_streams_equal_bruteforce(self, streams):
+        a, b, cfg = streams
+        fast = match(a, b, cfg)
+        slow = match_bruteforce(a, b, cfg)
+        assert record_tuples(fast) == record_tuples(slow)
+        for col in ("alice_index", "bob_index", "delta_ps", "slot_code"):
+            assert getattr(fast, col).dtype == getattr(slow, col).dtype
+
+    def test_contended_bob_tags_share_one_alice_tag(self):
+        # Three Bob tags whose hulls all hold the same two Alice tags: the
+        # first takes the earlier one (an SL candidate), the second the
+        # later one, the third finds nothing left.
+        cfg = CoincidenceConfig(window_ps=101, offset_ps=-7, delta_t_ps=1_000)
+        a = as_ps(0, 1_000)
+        b = as_ps(1_000, 1_010, 1_020) - 7
+        out = match(a, b, cfg)
+        assert record_tuples(out) == record_tuples(match_bruteforce(a, b, cfg))
+        assert out.alice_index.tolist() == [0, 1]
+        assert out.bob_index.tolist() == [0, 1]
+        assert out.slot_code.tolist() == [2, 0]
+
+
 class TestPostselect:
     def test_keeps_matched_only(self):
         a = as_ps(0, 50_000, 100_000 + 10_000)
@@ -151,6 +198,63 @@ class TestRecoverOffset:
         b = np.sort(rng.uniform(0, 1.0, 8000) * 1e12).astype(np.int64)
         with pytest.raises(SyncRecoveryError):
             recover_offset(a, b, 100e-6, 100e-12)
+
+
+def lag_histogram_per_pulse(a, b, span_ps, bin_ps):
+    """Reference sync histogram: one pulse at a time, clipped bins."""
+    n_bins = (2 * span_ps) // bin_ps + 1
+    hist = np.zeros(n_bins, dtype=np.int64)
+    for ta in a.tolist():
+        lo = np.searchsorted(b, ta - span_ps, side="left")
+        hi = np.searchsorted(b, ta + span_ps, side="right")
+        lags = b[lo:hi] - ta
+        hist += np.bincount(
+            np.clip((lags + span_ps) // bin_ps, 0, n_bins - 1), minlength=n_bins
+        )
+    return hist
+
+
+def sync_streams(kind, seed):
+    rng = np.random.default_rng(seed)
+    origin = np.sort(rng.integers(0, 2_000_000_000, 1_500))
+    if kind == "delayed":
+        return origin[rng.random(origin.size) < 0.7], np.sort(
+            origin[rng.random(origin.size) < 0.7] + 3_000_030
+        )
+    if kind == "independent":
+        return origin, np.sort(rng.integers(0, 2_000_000_000, 1_500))
+    if kind == "out-of-span":
+        return origin, origin + 10**12
+    return origin, origin  # identical
+
+
+class TestSyncHistogram:
+    """Chunked lag histogram against the per-pulse reference."""
+
+    SPAN_PS = 5_000_000
+    BIN_PS = 1_000
+
+    @pytest.mark.parametrize("chunk", [1, 7, 640, 1_500, 100_000])
+    @pytest.mark.parametrize("kind", ["delayed", "independent", "out-of-span", "identical"])
+    def test_histogram_and_result_across_chunk_boundaries(self, kind, chunk, monkeypatch):
+        a, b = sync_streams(kind, seed=len(kind))
+        ref = lag_histogram_per_pulse(a, b, self.SPAN_PS, self.BIN_PS)
+        monkeypatch.setattr(tagger, "_SYNC_CHUNK_PULSES", chunk)
+        assert np.array_equal(tagger._lag_histogram(a, b, self.SPAN_PS, self.BIN_PS), ref)
+
+        def outcome():
+            try:
+                return recover_offset(a, b, self.SPAN_PS * 1e-12, self.BIN_PS * 1e-12)
+            except SyncRecoveryError as exc:
+                return str(exc)
+
+        chunked = outcome()
+        monkeypatch.setattr(tagger, "_lag_histogram", lag_histogram_per_pulse)
+        assert chunked == outcome()
+        if kind in ("independent", "out-of-span"):
+            assert isinstance(chunked, str)
+        else:
+            assert isinstance(chunked, float)
 
 
 class TestAccidentals:
