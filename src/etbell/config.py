@@ -13,12 +13,14 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractViolation
+from .lhv import get_strategy
 from .lockbox import DriftProcess, PidParams, ReferenceSignal
 from .photonics import ChannelParams, DetectorParams, SourceParams
 from .qmodel import DIFFERENCE, PHASE_CONVENTIONS, SettingsQuad, canonical_quad
@@ -235,6 +237,33 @@ def _parse_settings(spec: str, convention: str) -> SettingsQuad:
     return SettingsQuad(*phases)
 
 
+#: Bytes each emitted pair holds for the whole block: its int64 emission time.
+_EMISSION_BYTES = 8
+
+
+def _physical_memory_bytes() -> int | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None  # not reported on this platform
+
+
+def _check_emission_memory(r: dict[str, dict[str, Any]]) -> None:
+    """Refuse a pair rate whose longest block cannot hold its emission times."""
+    run = r["run"]
+    longest = run["duration_per_setting"]
+    if run["sweep"]:
+        longest = max(longest, run["sweep_duration_per_point"])
+    need = _EMISSION_BYTES * r["source"]["pair_rate"] * longest
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise ConfigurationError(
+            f"[source] pair_rate = {r['source']['pair_rate']:g} over a {longest:g} s block "
+            f"needs about {need / 1e9:.3g} GB for emission times, more than this "
+            f"machine's {have / 1e9:.3g} GB of physical memory"
+        )
+
+
 def build_config(sections: dict[str, dict[str, Any]]) -> RunConfig:
     r = resolve_sections(sections)
     run = r["run"]
@@ -253,6 +282,11 @@ def build_config(sections: dict[str, dict[str, Any]]) -> RunConfig:
         raise ConfigurationError(
             f"[run] phase_convention must be one of {PHASE_CONVENTIONS}, got {convention!r}"
         )
+    if mode.startswith("lhv:"):
+        try:
+            get_strategy(mode.split(":", 1)[1], convention)
+        except ContractViolation as exc:
+            raise ConfigurationError(f"[run] mode {mode!r}: {exc}") from exc
     quad = _parse_settings(run["settings"], convention)
 
     try:
@@ -314,6 +348,7 @@ def build_config(sections: dict[str, dict[str, Any]]) -> RunConfig:
     for key in ("duration_per_setting", "sweep_duration_per_point"):
         if not run[key] > 0:
             raise ConfigurationError(f"[run] {key} must be positive")
+    _check_emission_memory(r)
     if r["coincidence"]["sync_max_pulses"] < 1:
         raise ConfigurationError("[coincidence] sync_max_pulses must be at least 1")
     if run["n_pairs"] <= 0:

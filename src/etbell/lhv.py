@@ -190,7 +190,13 @@ def get_strategy(name: str, convention: str = DIFFERENCE) -> LhvStrategy:
     if name == "constant":
         return constant_strategy()
     if name.startswith("random:"):
-        return random_strategy(int(name.split(":", 1)[1]))
+        gen_seed = name.split(":", 1)[1]
+        try:
+            return random_strategy(int(gen_seed))
+        except ValueError:
+            raise ContractViolation(
+                f"random strategy seed must be a non-negative integer, got {gen_seed!r}"
+            ) from None
     raise ContractViolation(
         f"unknown strategy {name!r}; expected faking, coin, constant, or random:<seed>"
     )

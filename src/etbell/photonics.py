@@ -6,8 +6,12 @@ survives the channel with a party-dependent probability, gets detector
 jitter, and lands in one of four detector channels.  Dark counts are added
 per detector and a non-paralyzable dead time prunes each channel last.
 Outcomes are drawn shard by shard with per-shard derived seeds, so runs
-remain bit-reproducible.  A block's emission times are drawn and sorted
-all at once, so its memory grows with the number of emitted pairs.
+remain bit-reproducible.  A block's emission times are drawn, sorted and
+converted in place all at once, so its memory is 8 bytes per emitted pair
+plus per-shard scratch.  Every shard draws its paths, outcome uniforms and
+survival uniforms for all of its pairs, which keeps the random streams
+fixed, and decides survival next; the outcome cells, arm delays, detector
+choice and jitter are then computed for the survivors only.
 
 Detector outcomes are sampled from the closed-form coincidence
 probabilities (quantum mode) or from a local strategy's response functions
@@ -19,11 +23,12 @@ uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .lhv import LhvStrategy, draw_hidden
+from .lhv import HiddenSample, LhvStrategy, draw_hidden
 from .qmodel import DIFFERENCE, coincidence_probability, validate_visibility
 from .topology import ALICE, BOB, ArmConfig, Geometry, PathChoice
 
@@ -103,13 +108,28 @@ def survival_probability(ch: ChannelParams, det: DetectorParams, party: str) -> 
     )
 
 
+#: Elements per in-place float-to-int64 cast in :func:`generate_pairs`; each
+#: chunk's overlapping source is buffered, so this bounds that scratch.
+_CAST_CHUNK = 1 << 20
+
+
 def generate_pairs(src: SourceParams, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Emission times (int64 ps, sorted) of a homogeneous Poisson process."""
+    """Emission times (int64 ps, sorted) of a homogeneous Poisson process.
+
+    The uniforms are sorted, scaled and truncated to int64 in their own
+    buffer, so one 8-byte array per pair is alive at a time.
+    """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([int(src.seed), 0x9A12]))
     n = rng.poisson(src.pair_rate * src.duration)
-    t = np.sort(rng.uniform(0.0, src.duration, n))
-    return (t * 1e12).astype(np.int64)
+    t = rng.uniform(0.0, src.duration, n)
+    t.sort()
+    t *= 1e12
+    t_ps = t.view(np.int64)
+    for start in range(0, n, _CAST_CHUNK):
+        chunk = slice(start, start + _CAST_CHUNK)
+        np.copyto(t_ps[chunk], t[chunk], casting="unsafe")
+    return t_ps
 
 
 def _quantum_cells(
@@ -140,17 +160,53 @@ def sample_quantum_events(
     events are time-distinguishable, so their outcomes are uniform.
     """
     validate_visibility(v_eff)
+    cum = np.cumsum(_quantum_cells(phi_a, phi_b, v_eff, convention))
+    path1, path2, u_cell, cell_uniform = _quantum_draws(n, rng)
+    cells = _resolve_cells(cum, path1, path2, u_cell, cell_uniform)
+    return path1, path2, _cell_x(cells), _cell_y(cells)
+
+
+def _quantum_draws(
+    n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Raw per-pair draws of quantum mode, in stream order.
+
+    Returns (path1, path2, u_cell, cell_uniform): the two fair path bits,
+    the uniform that picks a matched event's coincidence cell, and the
+    uniform cell (0-3) a mismatched event uses instead.
+    """
     path1 = rng.integers(0, 2, n, dtype=np.uint8)
     path2 = rng.integers(0, 2, n, dtype=np.uint8)
-    cum = np.cumsum(_quantum_cells(phi_a, phi_b, v_eff, convention))
-    cells = np.searchsorted(cum, rng.random(n), side="right").astype(np.uint8)
+    u_cell = rng.random(n)
+    cell_uniform = rng.integers(0, 4, n, dtype=np.uint8)
+    return path1, path2, u_cell, cell_uniform
+
+
+def _resolve_cells(
+    cum: np.ndarray,
+    path1: np.ndarray,
+    path2: np.ndarray,
+    u_cell: np.ndarray,
+    cell_uniform: np.ndarray,
+) -> np.ndarray:
+    """Outcome cell 2 (x - 1) + (y - 1) from the draws of :func:`_quantum_draws`.
+
+    ``cum`` is the cumulative four-cell coincidence distribution.  The
+    result is elementwise, so it may be taken over any subset of pairs.
+    """
+    cells = np.searchsorted(cum, u_cell, side="right").astype(np.uint8)
     np.minimum(cells, 3, out=cells)  # guard the u == 1.0 edge
-    cells_uniform = rng.integers(0, 4, n, dtype=np.uint8)
     mismatched = path1 != path2
-    cells[mismatched] = cells_uniform[mismatched]
-    x = (cells >> 1) + np.uint8(1)
-    y = (cells & 1) + np.uint8(1)
-    return path1, path2, x, y
+    cells[mismatched] = cell_uniform[mismatched]
+    return cells
+
+
+def _cell_x(cells: np.ndarray) -> np.ndarray:
+    return (cells >> 1) + np.uint8(1)
+
+
+def _cell_y(cells: np.ndarray) -> np.ndarray:
+    return (cells & 1) + np.uint8(1)
 
 
 def sample_quantum_event(
@@ -200,20 +256,9 @@ class ChannelStream:
 
 
 @dataclass
-class GroundTruth:
-    """Emission-to-detection lineage, kept for test assertions only."""
-
-    emission_ps: np.ndarray
-    path1: np.ndarray
-    path2: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-
-
-@dataclass
 class SimulationResult:
     channels: list[ChannelStream]
-    truth: GroundTruth | None
+    pairs_emitted: int
     duration: float
     v_eff: float | None = None
 
@@ -274,8 +319,10 @@ def _survive_and_jitter(
 
     One uniform per photon is compared against the party's survival
     probability, so with a fixed seed raising any loss term can only remove
-    events.  Jitter values are drawn for every arrival for the same reason.
-    Events jittered or delayed out of the acquisition window are dropped.
+    events.  Jitter values are drawn per survivor, after all survival
+    uniforms, so a loss change shifts which jitter value a survivor gets but
+    never which photons survive.  Events jittered or delayed out of the
+    acquisition window are dropped.
     """
     n = len(arrivals)
     u = rng.random(n)
@@ -351,20 +398,68 @@ def detect(
 
 
 def _route_batch(
-    geometry: Geometry, path1: np.ndarray, path2: np.ndarray, delta_t_ps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized routing: per-photon party code (0 alice, 1 bob) and delay."""
-    d1 = path1.astype(np.int64) * delta_t_ps
-    d2 = path2.astype(np.int64) * delta_t_ps
+    geometry: Geometry, path1: np.ndarray, path2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized routing: per-photon party code (0 alice, 1 bob)."""
     if geometry is Geometry.FRANSON:
-        party1 = np.zeros(len(path1), dtype=np.uint8)
-        party2 = np.ones(len(path2), dtype=np.uint8)
-    elif geometry is Geometry.HUG:
+        return np.zeros(len(path1), dtype=np.uint8), np.ones(len(path2), dtype=np.uint8)
+    if geometry is Geometry.HUG:
         party1 = path1.astype(np.uint8)  # short stays at Alice, long crosses to Bob
         party2 = (1 - path2).astype(np.uint8)  # short stays at Bob, long crosses to Alice
+        return party1, party2
+    raise ContractViolation(f"unknown geometry {geometry!r}")
+
+
+def _survivors(u: np.ndarray, party: np.ndarray, p_a: float, p_b: float) -> np.ndarray:
+    """Indices whose uniform lies below their party's survival probability.
+
+    One comparison against the larger probability finds the candidates;
+    only those are checked against their own party's probability, and only
+    when the two probabilities differ.
+    """
+    cand = np.flatnonzero(u < max(p_a, p_b))
+    if p_a == p_b:
+        return cand
+    return cand[u[cand] < np.where(party[cand] == 0, p_a, p_b)]
+
+
+def _shard_draws(
+    strategy: LhvStrategy | None,
+    n: int,
+    phi_a: float,
+    phi_b: float,
+    cum: np.ndarray | None,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray, int], np.ndarray]]:
+    """One shard's per-pair draws: (path1, path2, outcome).
+
+    ``outcome(idx, party)`` resolves, from draws already made, the intended
+    detector (x for party 0, y for party 1) of the pairs at ``idx``; it
+    consumes no randomness.
+    """
+    if strategy is None:
+        path1, path2, u_cell, cell_uniform = _quantum_draws(n, rng)
+
+        def outcome(idx: np.ndarray, party: int) -> np.ndarray:
+            cells = _resolve_cells(cum, path1[idx], path2[idx], u_cell[idx], cell_uniform[idx])
+            return _cell_y(cells) if party else _cell_x(cells)
+
+        return path1, path2, outcome
+
+    hv = draw_hidden(n, rng)
+    if strategy.paths_use_settings:
+        path1 = strategy.path_1(hv, phi_a).astype(np.uint8)
+        path2 = strategy.path_2(hv, phi_b).astype(np.uint8)
     else:
-        raise ContractViolation(f"unknown geometry {geometry!r}")
-    return party1, d1, party2, d2
+        path1 = strategy.path_1(hv).astype(np.uint8)
+        path2 = strategy.path_2(hv).astype(np.uint8)
+
+    def outcome(idx: np.ndarray, party: int) -> np.ndarray:
+        sub = HiddenSample(hv.theta[idx], hv.coin[idx], hv.aux[idx], hv.aux2[idx])
+        out = strategy.outcome_b(sub, phi_b) if party else strategy.outcome_a(sub, phi_a)
+        return np.where(out > 0, 1, 2).astype(np.uint8)
+
+    return path1, path2, outcome
 
 
 def simulate_experiment(
@@ -378,17 +473,17 @@ def simulate_experiment(
     arms: ArmConfig,
     v_eff: float = 1.0,
     convention: str = DIFFERENCE,
-    truth_log: bool = True,
     shard_pairs: int = 1 << 20,
 ) -> SimulationResult:
     """End-to-end event generation for one setting pair.
 
-    Composition: Poisson emissions -> path/outcome sampling (quantum closed
+    Composition: Poisson emissions -> path/outcome draws (quantum closed
     forms, or a local strategy when ``mode`` is an :class:`LhvStrategy`) ->
-    geometric routing with arm delay -> channel loss, jitter, dark counts,
-    dead time -> per-channel timestamp streams.  ``v_eff`` must already
-    include the indistinguishability and dephasing factors.  The ground
-    truth log maps every photon detection back to its emission.
+    geometric routing -> channel loss -> outcomes, arm delay and jitter of
+    the survivors -> dark counts, dead time -> per-channel timestamp
+    streams.  ``v_eff`` must already include the indistinguishability and
+    dephasing factors.  Each photon detection carries the index of its
+    emission.
     """
     if isinstance(mode, str) and mode != "quantum":
         raise ConfigurationError(f"mode must be 'quantum' or an LhvStrategy, got {mode!r}")
@@ -405,74 +500,55 @@ def simulate_experiment(
 
     per_channel: dict[tuple[str, int], list[np.ndarray]] = {key: [] for key in CHANNELS}
     per_channel_em: dict[tuple[str, int], list[np.ndarray]] = {key: [] for key in CHANNELS}
-    truth_paths1: list[np.ndarray] = []
-    truth_paths2: list[np.ndarray] = []
-    truth_x: list[np.ndarray] = []
-    truth_y: list[np.ndarray] = []
 
+    cum = None
+    if strategy is None:
+        validate_visibility(v_eff)
+        cum = np.cumsum(_quantum_cells(phi_a, phi_b, v_eff, convention))
     p_a = survival_probability(ch, det, ALICE)
     p_b = survival_probability(ch, det, BOB)
     jitter_ps = det.jitter_sigma * 1e12
     duration_ps = int(round(src.duration * 1e12))
 
-    for shard_idx, start in enumerate(range(0, max(n_total, 1), shard_pairs)):
+    for shard_idx, start in enumerate(range(0, n_total, shard_pairs)):
         stop = min(start + shard_pairs, n_total)
-        if stop <= start:
-            break
         t_emit = emissions[start:stop]
         n = stop - start
         rng = np.random.default_rng(np.random.SeedSequence([int(src.seed), 1, shard_idx]))
-
-        if strategy is None:
-            path1, path2, x, y = sample_quantum_events(
-                n, phi_a, phi_b, v_eff, rng, convention
-            )
-        else:
-            hv = draw_hidden(n, rng)
-            out_a = strategy.outcome_a(hv, phi_a)
-            out_b = strategy.outcome_b(hv, phi_b)
-            if strategy.paths_use_settings:
-                path1 = strategy.path_1(hv, phi_a).astype(np.uint8)
-                path2 = strategy.path_2(hv, phi_b).astype(np.uint8)
-            else:
-                path1 = strategy.path_1(hv).astype(np.uint8)
-                path2 = strategy.path_2(hv).astype(np.uint8)
-            x = np.where(out_a > 0, 1, 2).astype(np.uint8)
-            y = np.where(out_b > 0, 1, 2).astype(np.uint8)
-
-        party1, d1, party2, d2 = _route_batch(geometry, path1, path2, delta_t_ps)
+        path1, path2, outcome = _shard_draws(strategy, n, phi_a, phi_b, cum, rng)
+        party1, party2 = _route_batch(geometry, path1, path2)
 
         # Survival thinning first: one uniform per photon against the
         # party's probability (coupled sampling: raising any loss can only
         # shrink the kept set), then all remaining work runs on survivors.
         det_rng = np.random.default_rng(np.random.SeedSequence([int(src.seed), 2, shard_idx]))
         u = det_rng.random(2 * n)
-        keep1 = np.flatnonzero(u[:n] < np.where(party1 == 0, p_a, p_b))
-        keep2 = np.flatnonzero(u[n:] < np.where(party2 == 0, p_a, p_b))
+        keep1 = _survivors(u[:n], party1, p_a, p_b)
+        keep2 = _survivors(u[n:], party2, p_a, p_b)
+        u_det = det_rng.integers(1, 3, 2 * n, dtype=np.uint8)
 
         # Intended detector per photon: the photon that reaches Alice
         # carries x, the one that reaches Bob carries y; same-party double
         # events carry no cross-party information and draw uniformly.
-        cross = party1 != party2
-        u_det = det_rng.integers(1, 3, 2 * n, dtype=np.uint8)
-
+        # The two photon sides are resolved separately; both photons of a
+        # pair survive rarely at realistic loss.
         surv_t = []
         surv_party = []
         surv_det = []
         surv_em = []
-        for keep, party_arr, delay, photon_offset in (
-            (keep1, party1, d1, 0),
-            (keep2, party2, d2, n),
+        for keep, path, party_arr, other_party, det_uniform in (
+            (keep1, path1, party1, party2, u_det[:n]),
+            (keep2, path2, party2, party1, u_det[n:]),
         ):
             p_k = party_arr[keep]
-            d_k = np.where(
-                cross[keep],
-                np.where(p_k == 0, x[keep], y[keep]),
-                u_det[photon_offset + keep],
-            )
-            surv_t.append(t_emit[keep] + delay[keep])
+            d_k = det_uniform[keep]
+            cross = p_k != other_party[keep]
+            for pcode in (0, 1):
+                at = np.flatnonzero(cross & (p_k == pcode))
+                d_k[at] = outcome(keep[at], pcode)
+            surv_t.append(t_emit[keep] + path[keep].astype(np.int64) * delta_t_ps)
             surv_party.append(p_k)
-            surv_det.append(d_k.astype(np.uint8))
+            surv_det.append(d_k)
             surv_em.append(start + keep)
 
         t_s = np.concatenate(surv_t)
@@ -490,12 +566,6 @@ def simulate_experiment(
             per_channel[(party_name, dnum)].append(t_s[sel])
             per_channel_em[(party_name, dnum)].append(em_s[sel])
 
-        if truth_log:
-            truth_paths1.append(path1)
-            truth_paths2.append(path2)
-            truth_x.append(x)
-            truth_y.append(y)
-
     channels: list[ChannelStream] = []
     dark_rng = np.random.default_rng(np.random.SeedSequence([int(src.seed), 3]))
     for party_name, dnum in CHANNELS:
@@ -507,18 +577,9 @@ def simulate_experiment(
             _finalize_channel(party_name, dnum, t_ch, em_ch, src.duration, det, dark_rng)
         )
 
-    truth = None
-    if truth_log:
-        truth = GroundTruth(
-            emission_ps=emissions,
-            path1=np.concatenate(truth_paths1) if truth_paths1 else np.empty(0, dtype=np.uint8),
-            path2=np.concatenate(truth_paths2) if truth_paths2 else np.empty(0, dtype=np.uint8),
-            x=np.concatenate(truth_x) if truth_x else np.empty(0, dtype=np.uint8),
-            y=np.concatenate(truth_y) if truth_y else np.empty(0, dtype=np.uint8),
-        )
     return SimulationResult(
         channels=channels,
-        truth=truth,
+        pairs_emitted=n_total,
         duration=src.duration,
         v_eff=None if strategy is not None else v_eff,
     )

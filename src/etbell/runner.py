@@ -151,7 +151,6 @@ def run_setting_block(
         cfg.arms,
         v_eff=v_eff,
         convention=cfg.convention,
-        truth_log=False,
     )
 
     delay_ps = int(round(cfg.bob_link_delay * 1e12))
@@ -525,7 +524,6 @@ def _save_block_tags(
             cfg.arms,
             v_eff=v_eff,
             convention=cfg.convention,
-            truth_log=False,
         )
         chans = []
         times = []
@@ -546,9 +544,12 @@ _REQUIRED_ARTIFACTS = ("manifest.json", "resolved.cfg", "counts.csv", "bell.json
 
 def _read_artifact(path: Path) -> dict:
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ReportError(f"unreadable run artifact {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ReportError(f"run artifact {path} is not a JSON object")
+    return data
 
 
 def render_summary(run_dir: str | Path) -> str:
@@ -559,7 +560,16 @@ def render_summary(run_dir: str | Path) -> str:
         raise ReportError(f"run directory {run_dir} is missing artifacts: {missing}")
     manifest = _read_artifact(run_dir / "manifest.json")
     bell = _read_artifact(run_dir / "bell.json")
+    try:
+        return _summary_text(manifest, bell)
+    except (KeyError, TypeError) as exc:
+        raise ReportError(
+            f"run directory {run_dir}: manifest.json or bell.json lacks or "
+            f"mistypes an entry ({type(exc).__name__}: {exc})"
+        ) from exc
 
+
+def _summary_text(manifest: dict, bell: dict) -> str:
     lines = []
     lines.append(f"run: mode={manifest['mode']} geometry={manifest['geometry']} seed={manifest['seed']}")
     lines.append(f"toolkit version: {manifest['version']}")

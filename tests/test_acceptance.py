@@ -49,7 +49,7 @@ def _ideal_quad_counts(v_eff, pair_rate, duration, seed0, geometry=Geometry.HUG)
         src = SourceParams(pair_rate=pair_rate, duration=duration, seed=seed0 + k)
         sim = simulate_experiment(
             geometry, "quantum", phi_a, phi_b, src, IDEAL_CH, IDEAL_DET, ARMS,
-            v_eff=v_eff, truth_log=False,
+            v_eff=v_eff,
         )
         cells = {}
         for x in (1, 2):
@@ -243,7 +243,7 @@ def test_criterion_07_rate_budget():
     src = SourceParams(pair_rate=4.1e7, duration=1.0, seed=71)
     sim = simulate_experiment(
         Geometry.HUG, "quantum", 0.0, math.pi / 4, src, ChannelParams(), DetectorParams(),
-        ARMS, v_eff=0.821, truth_log=False,
+        ARMS, v_eff=0.821,
     )
     alice = sim.singles_rate(ALICE)
     bob = sim.singles_rate(BOB)

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from etbell import qmodel
+from etbell import photonics, qmodel
 from etbell.errors import ContractViolation
 from etbell.estimators import estimate_E
+from etbell.lhv import LhvStrategy, coin_strategy, draw_hidden, faking_strategy
 from etbell.photonics import (
+    CHANNELS,
     ArrivalBatch,
     ChannelParams,
     DetectorParams,
     SourceParams,
     _dead_time_mask,
+    _finalize_channel,
     apply_dead_time,
     detect,
     generate_pairs,
@@ -57,6 +60,15 @@ class TestGeneratePairs:
     def test_deterministic(self):
         src = SourceParams(pair_rate=1000.0, duration=1.0, seed=42)
         assert np.array_equal(generate_pairs(src), generate_pairs(src))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+    def test_in_place_cast_equals_dense_reference(self, chunk, monkeypatch):
+        # Chunks of 7 leave a ragged last chunk; 1 << 20 covers the block whole.
+        monkeypatch.setattr(photonics, "_CAST_CHUNK", chunk)
+        src = SourceParams(pair_rate=3000.0, duration=1.0, seed=6)
+        got = generate_pairs(src)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, emission_times_dense(src))
 
     def test_validation(self):
         with pytest.raises(ContractViolation):
@@ -233,6 +245,153 @@ def test_dead_time_mask_long_chains():
         assert np.array_equal(_dead_time_mask(t, dead), dead_time_mask_scalar(t, dead))
 
 
+def emission_times_dense(src):
+    """Reference emission times: sort a copy, scale a copy, cast a copy."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(src.seed), 0x9A12]))
+    n = rng.poisson(src.pair_rate * src.duration)
+    return (np.sort(rng.uniform(0.0, src.duration, n)) * 1e12).astype(np.int64)
+
+
+def simulate_experiment_dense(
+    geometry, mode, phi_a, phi_b, src, ch, det, arms, v_eff=1.0,
+    convention=qmodel.DIFFERENCE, shard_pairs=1 << 20,
+):
+    """Reference generator: every step for every pair, survival thinning last.
+
+    Each shard samples all outcomes, routes all photons and computes every
+    delay and detector choice before it thins by survival.  It draws the
+    same random streams in the same order as ``simulate_experiment``, which
+    must therefore match it exactly.
+    """
+    emissions = emission_times_dense(src)
+    strategy = mode if isinstance(mode, LhvStrategy) else None
+    cells_p = [
+        qmodel.coincidence_probability(x, y, phi_a, phi_b, v_eff, convention)
+        for x, y in ((1, 1), (1, 2), (2, 1), (2, 2))
+    ]
+    cum = np.cumsum(cells_p)
+    p_party = np.array([survival_probability(ch, det, ALICE), survival_probability(ch, det, BOB)])
+    delta_t_ps = int(round(arms.delta_t * 1e12))
+    duration_ps = int(round(src.duration * 1e12))
+    t_chunks = {key: [] for key in CHANNELS}
+    em_chunks = {key: [] for key in CHANNELS}
+    for shard_idx, start in enumerate(range(0, len(emissions), shard_pairs)):
+        t_emit = emissions[start:start + shard_pairs]
+        n = len(t_emit)
+        rng = np.random.default_rng(np.random.SeedSequence([int(src.seed), 1, shard_idx]))
+        if strategy is None:
+            path1 = rng.integers(0, 2, n, dtype=np.uint8)
+            path2 = rng.integers(0, 2, n, dtype=np.uint8)
+            cells = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), 3)
+            cells = np.where(path1 != path2, rng.integers(0, 4, n, dtype=np.uint8), cells)
+            x, y = cells // 2 + 1, cells % 2 + 1
+        else:
+            hv = draw_hidden(n, rng)
+            phases = ((phi_a,), (phi_b,)) if strategy.paths_use_settings else ((), ())
+            path1 = strategy.path_1(hv, *phases[0]).astype(np.uint8)
+            path2 = strategy.path_2(hv, *phases[1]).astype(np.uint8)
+            x = np.where(strategy.outcome_a(hv, phi_a) > 0, 1, 2)
+            y = np.where(strategy.outcome_b(hv, phi_b) > 0, 1, 2)
+        if geometry is Geometry.HUG:
+            party1, party2 = path1.astype(np.int64), 1 - path2.astype(np.int64)
+        else:
+            party1, party2 = np.zeros(n, np.int64), np.ones(n, np.int64)
+        det_rng = np.random.default_rng(np.random.SeedSequence([int(src.seed), 2, shard_idx]))
+        u = det_rng.random(2 * n)
+        u_det = det_rng.integers(1, 3, 2 * n, dtype=np.uint8)
+
+        # Photon 1 of every pair, then photon 2 of every pair.
+        party = np.concatenate([party1, party2])
+        t = np.concatenate([t_emit + path1.astype(np.int64) * delta_t_ps,
+                            t_emit + path2.astype(np.int64) * delta_t_ps])
+        cross = np.tile(party1 != party2, 2)
+        detector = np.where(cross, np.where(party == 0, np.tile(x, 2), np.tile(y, 2)), u_det)
+        emission = np.tile(np.arange(start, start + n, dtype=np.int64), 2)
+
+        alive = u < p_party[party]
+        t, party, detector, emission = t[alive], party[alive], detector[alive], emission[alive]
+        if det.jitter_sigma > 0:
+            t = t + np.rint(det_rng.normal(0.0, det.jitter_sigma * 1e12, len(t))).astype(np.int64)
+        inside = (t >= 0) & (t <= duration_ps)
+        t, party, detector, emission = t[inside], party[inside], detector[inside], emission[inside]
+        for key in CHANNELS:
+            sel = (party == (0 if key[0] == ALICE else 1)) & (detector == key[1])
+            t_chunks[key].append(t[sel])
+            em_chunks[key].append(emission[sel])
+
+    dark_rng = np.random.default_rng(np.random.SeedSequence([int(src.seed), 3]))
+    empty = np.empty(0, dtype=np.int64)
+    return [
+        _finalize_channel(
+            party_name, dnum,
+            np.concatenate(t_chunks[(party_name, dnum)] or [empty]),
+            np.concatenate(em_chunks[(party_name, dnum)] or [empty]),
+            src.duration, det, dark_rng,
+        )
+        for party_name, dnum in CHANNELS
+    ]
+
+
+ORACLE_MODES = [
+    ("quantum-hug", Geometry.HUG, "quantum"),
+    ("quantum-franson", Geometry.FRANSON, "quantum"),
+    ("faking-franson", Geometry.FRANSON, faking_strategy()),
+    ("coin-hug", Geometry.HUG, coin_strategy()),
+    ("coin-franson", Geometry.FRANSON, coin_strategy()),
+]
+# Survival per party (alice, bob): 1 and 1; about 0.56 and 0.36; about
+# 8.5e-3 and 3.4e-4 (the paper's losses); 0 (efficiency 0).
+ORACLE_SURVIVAL = {
+    "one": (IDEAL_CH, 1.0),
+    "mid": (ChannelParams(loss_a_db=1.0, loss_b_db=3.0, coupling_loss_db=0.0), 0.8),
+    "tiny": (ChannelParams(), 0.6),
+    "zero": (IDEAL_CH, 0.0),
+}
+# A 0.4 ms block: 20 000 pairs in 1 << 10 shards, the last one ragged.  The
+# 20 us jitter pushes tags over both edges of the acquisition window.
+ORACLE_SRC = SourceParams(pair_rate=5e7, duration=4e-4, seed=2015)
+ORACLE_JITTER = {
+    "no-jitter": dict(jitter_sigma=0.0, dark_rate=0.0, dead_time=0.0),
+    "edge-jitter": dict(jitter_sigma=2e-5, dark_rate=2e4, dead_time=50e-9),
+}
+
+
+def assert_streams_equal(got, want):
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert (g.party, g.detector) == (w.party, w.detector)
+        for field in ("t_ps", "origin", "emission"):
+            a, b = getattr(g, field), getattr(w, field)
+            assert a.dtype == b.dtype, (g.party, g.detector, field)
+            assert np.array_equal(a, b), (g.party, g.detector, field)
+
+
+@pytest.mark.parametrize("jitter", ORACLE_JITTER)
+@pytest.mark.parametrize("survival", ORACLE_SURVIVAL)
+@pytest.mark.parametrize("case", ORACLE_MODES, ids=[m[0] for m in ORACLE_MODES])
+def test_simulate_experiment_equals_dense_reference(case, survival, jitter):
+    _, geometry, mode = case
+    ch, efficiency = ORACLE_SURVIVAL[survival]
+    det = DetectorParams(efficiency=efficiency, **ORACLE_JITTER[jitter])
+    args = (geometry, mode, 0.3, 1.1, ORACLE_SRC, ch, det, ARMS)
+    kwargs = dict(v_eff=0.8, shard_pairs=1 << 10)
+    sim = simulate_experiment(*args, **kwargs)
+    assert sim.pairs_emitted == len(emission_times_dense(ORACLE_SRC)) == 19_750
+    assert_streams_equal(sim.channels, simulate_experiment_dense(*args, **kwargs))
+    if survival == "zero":
+        assert all(np.all(c.origin == 1) for c in sim.channels)
+
+
+@pytest.mark.parametrize("mode", ["quantum", coin_strategy()], ids=["quantum", "coin"])
+def test_simulate_experiment_zero_duration_equals_dense_reference(mode):
+    src = SourceParams(pair_rate=5e7, duration=0.0, seed=3)
+    args = (Geometry.HUG, mode, 0.3, 1.1, src, IDEAL_CH, IDEAL_DET, ARMS)
+    sim = simulate_experiment(*args, shard_pairs=1 << 10)
+    assert sim.pairs_emitted == 0
+    assert all(len(c) == 0 for c in sim.channels)
+    assert_streams_equal(sim.channels, simulate_experiment_dense(*args, shard_pairs=1 << 10))
+
+
 class TestSimulateExperiment:
     def _counts(self, sim):
         out = {}
@@ -271,7 +430,7 @@ class TestSimulateExperiment:
         sim = simulate_experiment(
             Geometry.HUG, "quantum", 0.0, 0.3, src, IDEAL_CH, det, ARMS, v_eff=1.0
         )
-        n_emissions = len(sim.truth.emission_ps)
+        n_emissions = sim.pairs_emitted
         seen: dict[int, int] = {}
         for s in sim.channels:
             for em, origin in zip(s.emission.tolist(), s.origin.tolist()):
@@ -294,7 +453,7 @@ class TestSimulateExperiment:
         counts = self._counts(sim)
         discarded = sum(ps.discarded for ps in counts.values())
         matched = sum(len(ps.kept) for ps in counts.values())
-        n_pairs = len(sim.truth.emission_ps)
+        n_pairs = sim.pairs_emitted
         assert discarded == 0
         assert abs(matched - 0.5 * n_pairs) < 3.0 * math.sqrt(0.25 * n_pairs)
 

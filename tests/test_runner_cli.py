@@ -70,6 +70,28 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="mode"):
             build_config({"run": {"mode": "psychic"}})
 
+    @pytest.mark.parametrize("mode", ["lhv:random:x", "lhv:random:", "lhv:random:-3", "lhv:psychic"])
+    def test_strategy_parsed_at_load(self, mode):
+        with pytest.raises(ConfigurationError, match="mode"):
+            build_config({"run": {"mode": mode}})
+        assert build_config({"run": {"mode": "lhv:random:4"}}).mode == "lhv:random:4"
+
+    @pytest.mark.parametrize("rate", [1e12, 1e30])
+    def test_pair_rate_beyond_memory(self, rate):
+        # 8 bytes per emitted pair over a 100 s block: 800 TB at 1e12 pairs/s.
+        with pytest.raises(ConfigurationError, match="GB"):
+            build_config({"source": {"pair_rate": rate}, "run": {"duration_per_setting": 100.0}})
+
+    def test_pair_rate_beyond_memory_counts_sweep_blocks(self):
+        sections = {
+            "source": {"pair_rate": 1e12},
+            "run": {"duration_per_setting": 1e-9, "sweep_duration_per_point": 100.0},
+        }
+        build_config(sections)  # sweep off: only the 1 ns quad blocks run
+        sections["run"]["sweep"] = "on"
+        with pytest.raises(ConfigurationError, match="100 s block"):
+            build_config(sections)
+
     def test_settings_parsing(self):
         cfg = build_config({"run": {"settings": "0.0, 1.5707963267948966, 0.785398, -0.785398"}})
         assert cfg.quad.a1 == pytest.approx(math.pi / 2)
@@ -211,6 +233,18 @@ class TestReport:
         with pytest.raises(ReportError, match="missing artifacts"):
             render_summary(out)
 
+    @pytest.mark.parametrize(
+        "artifact, content",
+        [("bell.json", "{}"), ("manifest.json", "{}"), ("bell.json", "[]"), ("bell.json", '{"bell": 3}')],
+    )
+    def test_report_malformed_artifact(self, tmp_path, artifact, content, capsys):
+        out = run_experiment(fast_config(), tmp_path / "odd")
+        (out / artifact).write_text(content)
+        with pytest.raises(ReportError):
+            render_summary(out)
+        assert cli.main(["report", str(out)]) == cli.EXIT_RUNTIME
+        assert artifact in capsys.readouterr().err
+
     @pytest.mark.parametrize("artifact", ["bell.json", "manifest.json"])
     def test_report_truncated_artifact(self, tmp_path, artifact, capsys):
         out = run_experiment(fast_config(), tmp_path / "cut")
@@ -259,6 +293,17 @@ class TestCli:
         cfg_path.write_text("[run]\nsettings = nan,0,0,0\n")
         assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "never")]) == 1
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize(
+        "body, needle",
+        [("[run]\nmode = lhv:random:x\n", "integer"), ("[source]\npair_rate = 1e30\n", "GB")],
+    )
+    def test_load_time_rejections_exit_code(self, tmp_path, body, needle, capsys):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(body)
+        assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "never")]) == 1
+        assert needle in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
     def test_missing_config_exit_code(self, capsys):
