@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation, StrategyGeometryError
 from .lhv import get_strategy
 from .lockbox import DriftProcess, PidParams, ReferenceSignal
 from .photonics import ChannelParams, DetectorParams, SourceParams
@@ -284,8 +284,8 @@ def build_config(sections: dict[str, dict[str, Any]]) -> RunConfig:
         )
     if mode.startswith("lhv:"):
         try:
-            get_strategy(mode.split(":", 1)[1], convention)
-        except ContractViolation as exc:
+            get_strategy(mode.split(":", 1)[1], convention).check_geometry(geometry)
+        except (ContractViolation, StrategyGeometryError) as exc:
             raise ConfigurationError(f"[run] mode {mode!r}: {exc}") from exc
     quad = _parse_settings(run["settings"], convention)
 
@@ -341,8 +341,11 @@ def build_config(sections: dict[str, dict[str, Any]]) -> RunConfig:
     vis = r["dephasing"]["source_visibility"]
     if not 0.0 <= vis <= 1.0:
         raise ConfigurationError("[dephasing] source_visibility must be in [0, 1]")
-    if r["dephasing"]["alice_phase_sigma"] < 0:
-        raise ConfigurationError("[dephasing] alice_phase_sigma must be >= 0")
+    if not 0.0 <= r["dephasing"]["alice_phase_sigma"] <= 2.0 * math.pi:
+        raise ConfigurationError(
+            "[dephasing] alice_phase_sigma must be in [0, 2 pi] rad: at 2 pi the "
+            "dephasing factor exp(-sigma^2 / 2) = exp(-2 pi^2) ~ 3e-9 is already full"
+        )
     if not r["source"]["pair_rate"] > 0:
         raise ConfigurationError("[source] pair_rate must be positive")
     for key in ("duration_per_setting", "sweep_duration_per_point"):

@@ -77,6 +77,22 @@ class LhvStrategy:
     path_2: Callable[..., np.ndarray]
     paths_use_settings: bool
 
+    def paths(
+        self, hv: HiddenSample, phi_a: float, phi_b: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Both photons' paths, passing the local phases only when the paths read them."""
+        if self.paths_use_settings:
+            return self.path_1(hv, phi_a), self.path_2(hv, phi_b)
+        return self.path_1(hv), self.path_2(hv)
+
+    def check_geometry(self, geometry: Geometry) -> None:
+        """Refuse setting-dependent paths in the cross-linked geometry."""
+        if geometry is Geometry.HUG and self.paths_use_settings:
+            raise StrategyGeometryError(
+                f"strategy {self.name!r} reads the local setting in its path "
+                "functions; the cross-linked geometry has no such input"
+            )
+
 
 def _sign(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1, -1).astype(np.int8)
@@ -248,11 +264,7 @@ def run_lhv(
     """
     if n_pairs <= 0:
         raise ContractViolation("n_pairs must be positive")
-    if geometry is Geometry.HUG and strategy.paths_use_settings:
-        raise StrategyGeometryError(
-            f"strategy {strategy.name!r} reads the local setting in its path "
-            "functions; the cross-linked geometry has no such input"
-        )
+    strategy.check_geometry(geometry)
 
     post: list[CountsMatrix] = []
     full: list[CountsMatrix] = []
@@ -263,12 +275,7 @@ def run_lhv(
         hv = draw_hidden(n_k, rng)
         out_a = strategy.outcome_a(hv, phi_a)
         out_b = strategy.outcome_b(hv, phi_b)
-        if strategy.paths_use_settings:
-            p1 = strategy.path_1(hv, phi_a)
-            p2 = strategy.path_2(hv, phi_b)
-        else:
-            p1 = strategy.path_1(hv)
-            p2 = strategy.path_2(hv)
+        p1, p2 = strategy.paths(hv, phi_a, phi_b)
         selected = p1 == p2
         n_selected += int(np.count_nonzero(selected))
         post.append(_tally(out_a[selected], out_b[selected]))

@@ -32,6 +32,13 @@ OU = "ou"
 
 @dataclass(frozen=True)
 class DriftProcess:
+    """Open-loop phase drift, stepped once per loop sample by :func:`run_lock`.
+
+    Random walk: Gaussian steps of variance diffusion * dt.  OU: exact
+    discretization (stable for any reversion rate), with stationary
+    variance diffusion / (2 * reversion_rate).
+    """
+
     model: str = RANDOM_WALK
     diffusion: float = 2.0  # rad^2 / s
     reversion_rate: float = 0.0  # 1 / s, OU only
@@ -46,25 +53,6 @@ class DriftProcess:
             raise ContractViolation("sample_rate must be positive")
         if self.model == OU and not self.reversion_rate > 0:
             raise ContractViolation("OU drift needs a positive reversion_rate")
-
-
-def step_drift(state: float, drift: DriftProcess, rng: np.random.Generator) -> float:
-    """One-step phase increment at dt = 1 / sample_rate.
-
-    Random walk: Gaussian with variance diffusion * dt.  OU: exact
-    discretization (stable for any reversion rate), with stationary
-    variance diffusion / (2 * reversion).
-    """
-    dt = 1.0 / drift.sample_rate
-    if drift.model == RANDOM_WALK:
-        if drift.diffusion <= 0:
-            return 0.0
-        return float(rng.normal(0.0, math.sqrt(drift.diffusion * dt)))
-    a = math.exp(-drift.reversion_rate * dt)
-    if drift.diffusion <= 0:
-        return state * (a - 1.0)
-    sd = math.sqrt(drift.diffusion / (2.0 * drift.reversion_rate) * (1.0 - a * a))
-    return state * (a - 1.0) + float(rng.normal(0.0, sd))
 
 
 @dataclass(frozen=True)
@@ -92,9 +80,6 @@ class ReferenceSignal:
         if not 0.0 < self.dc_min <= self.dc_max:
             raise ContractViolation("need 0 < dc_min <= dc_max")
 
-    def intensity(self, phase: float, v: float, dc: float) -> float:
-        return dc * (1.0 + v * math.cos(2.0 * phase))
-
 
 @dataclass(frozen=True)
 class PidParams:
@@ -116,44 +101,6 @@ class PidParams:
             raise ContractViolation("actuator_range must be positive")
         if not self.highpass_cutoff > 0:
             raise ContractViolation("highpass_cutoff must be positive")
-
-
-class HighPass:
-    """First-order a-c coupling filter, y[n] = a (y[n-1] + x[n] - x[n-1])."""
-
-    def __init__(self, cutoff_hz: float, sample_rate: float) -> None:
-        self.alpha = 1.0 / (1.0 + 2.0 * math.pi * cutoff_hz / sample_rate)
-        self._y = 0.0
-        self._x = 0.0
-        self._primed = False
-
-    def step(self, x: float) -> float:
-        if not self._primed:
-            self._x = x
-            self._primed = True
-        self._y = self.alpha * (self._y + x - self._x)
-        self._x = x
-        return self._y
-
-
-def error_signal(
-    intensity_samples: np.ndarray, highpass_cutoff: float, sample_rate: float
-) -> float:
-    """A-c coupled error value over a short intensity window.
-
-    The high-pass removes the wandering offset; the remaining signal
-    crosses zero at the quadrature points, and any positive rescaling of
-    the fringe contrast scales the output linearly without moving the zero
-    crossing or flipping its sign.
-    """
-    samples = np.asarray(intensity_samples, dtype=float)
-    if samples.size < 2:
-        raise ContractViolation("need at least two samples of intensity")
-    hp = HighPass(highpass_cutoff, sample_rate)
-    out = 0.0
-    for x in samples:
-        out = hp.step(float(x))
-    return out
 
 
 @dataclass

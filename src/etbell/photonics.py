@@ -1,17 +1,20 @@
 """Stochastic generation of the physical event record.
 
-Pair emissions form a homogeneous Poisson process.  Each photon picks an
-interferometer path (fair splitter), is routed by the configured geometry,
-survives the channel with a party-dependent probability, gets detector
-jitter, and lands in one of four detector channels.  Dark counts are added
-per detector and a non-paralyzable dead time prunes each channel last.
-Outcomes are drawn shard by shard with per-shard derived seeds, so runs
-remain bit-reproducible.  A block's emission times are drawn, sorted and
-converted in place all at once, so its memory is 8 bytes per emitted pair
-plus per-shard scratch.  Every shard draws its paths, outcome uniforms and
-survival uniforms for all of its pairs, which keeps the random streams
-fixed, and decides survival next; the outcome cells, arm delays, detector
-choice and jitter are then computed for the survivors only.
+:func:`simulate_experiment` is the one generator: ``etbell run`` and the
+tests both go through it.  Pair emissions form a homogeneous Poisson
+process.  Each photon picks an interferometer path (fair splitter), is
+routed by :func:`topology.route`, survives the channel with a
+party-dependent probability, gets detector jitter, and lands in one of four
+detector channels.  Dark counts are added per detector and a
+non-paralyzable dead time (:func:`_dead_time_mask`) prunes each channel
+last.  Outcomes are drawn shard by shard with per-shard derived seeds, so
+runs remain bit-reproducible.  A block's emission times are drawn, sorted
+and converted in place all at once, so its memory is 8 bytes per emitted
+pair plus per-shard scratch.  Every shard draws its paths, outcome
+uniforms and survival uniforms for all of its pairs, which keeps the
+random streams fixed, and decides survival next; the outcome cells, arm
+delays, detector choice and jitter are then computed for the survivors
+only.
 
 Detector outcomes are sampled from the closed-form coincidence
 probabilities (quantum mode) or from a local strategy's response functions
@@ -30,7 +33,7 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolation
 from .lhv import HiddenSample, LhvStrategy, draw_hidden
 from .qmodel import DIFFERENCE, coincidence_probability, validate_visibility
-from .topology import ALICE, BOB, ArmConfig, Geometry, PathChoice
+from .topology import ALICE, BOB, ArmConfig, Geometry, route
 
 PHOTON = 0
 DARK = 1
@@ -88,14 +91,6 @@ class DetectorParams:
             raise ContractViolation("efficiency must be in [0, 1]")
         if self.dark_rate < 0 or self.jitter_sigma < 0 or self.dead_time < 0:
             raise ContractViolation("dark_rate, jitter_sigma and dead_time must be >= 0")
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    party: str
-    detector: int
-    timestamp_ps: int
-    origin: int  # PHOTON or DARK
 
 
 def survival_probability(ch: ChannelParams, det: DetectorParams, party: str) -> float:
@@ -209,31 +204,6 @@ def _cell_y(cells: np.ndarray) -> np.ndarray:
     return (cells & 1) + np.uint8(1)
 
 
-def sample_quantum_event(
-    phi_a: float,
-    phi_b: float,
-    v_eff: float,
-    rng: np.random.Generator,
-    convention: str = DIFFERENCE,
-) -> tuple[PathChoice, tuple[int, int]]:
-    """Scalar convenience wrapper around :func:`sample_quantum_events`."""
-    p1, p2, x, y = sample_quantum_events(1, phi_a, phi_b, v_eff, rng, convention)
-    return PathChoice(int(p1[0]), int(p2[0])), (int(x[0]), int(y[0]))
-
-
-@dataclass
-class ArrivalBatch:
-    """Photon arrivals at the detector plane, one row per photon."""
-
-    party: np.ndarray  # uint8, 0 = alice, 1 = bob
-    detector: np.ndarray  # uint8, 1 or 2
-    t_ps: np.ndarray  # int64, sorted
-    emission: np.ndarray  # int64 index into the emission record, -1 if unknown
-
-    def __len__(self) -> int:
-        return len(self.t_ps)
-
-
 @dataclass
 class ChannelStream:
     party: str
@@ -244,15 +214,6 @@ class ChannelStream:
 
     def __len__(self) -> int:
         return len(self.t_ps)
-
-    def rate(self, duration: float) -> float:
-        return len(self.t_ps) / duration if duration > 0 else 0.0
-
-    def records(self) -> list[DetectionRecord]:
-        return [
-            DetectionRecord(self.party, self.detector, int(t), int(o))
-            for t, o in zip(self.t_ps, self.origin)
-        ]
 
 
 @dataclass
@@ -271,15 +232,6 @@ class SimulationResult:
     def singles_rate(self, party: str) -> float:
         n = sum(len(c) for c in self.channels if c.party == party)
         return n / self.duration if self.duration > 0 else 0.0
-
-
-def apply_dead_time(t_ps: np.ndarray, dead_time: float) -> np.ndarray:
-    """Dead-time filter over one sorted channel; greedy earliest-kept-wins."""
-    t = np.asarray(t_ps, dtype=np.int64)
-    if dead_time <= 0 or len(t) == 0:
-        return t
-    kept = _dead_time_mask(t, int(round(dead_time * 1e12)))
-    return t[kept]
 
 
 def _dead_time_mask(t_ps: np.ndarray, dead_ps: int) -> np.ndarray:
@@ -308,39 +260,6 @@ def _dead_time_mask(t_ps: np.ndarray, dead_ps: int) -> np.ndarray:
     return kept
 
 
-def _survive_and_jitter(
-    arrivals: ArrivalBatch,
-    duration_ps: int,
-    ch: ChannelParams,
-    det: DetectorParams,
-    rng: np.random.Generator,
-) -> ArrivalBatch:
-    """Loss thinning plus timestamp jitter, coupled in the uniform stream.
-
-    One uniform per photon is compared against the party's survival
-    probability, so with a fixed seed raising any loss term can only remove
-    events.  Jitter values are drawn per survivor, after all survival
-    uniforms, so a loss change shifts which jitter value a survivor gets but
-    never which photons survive.  Events jittered or delayed out of the
-    acquisition window are dropped.
-    """
-    n = len(arrivals)
-    u = rng.random(n)
-    p_a = survival_probability(ch, det, ALICE)
-    p_b = survival_probability(ch, det, BOB)
-    p = np.where(arrivals.party == 0, p_a, p_b)
-    keep = u < p
-    t = arrivals.t_ps[keep]
-    if det.jitter_sigma > 0:
-        jitter = rng.normal(0.0, det.jitter_sigma * 1e12, len(t))
-        t = t + np.rint(jitter).astype(np.int64)
-    party = arrivals.party[keep]
-    detector = arrivals.detector[keep]
-    emission = arrivals.emission[keep]
-    inside = (t >= 0) & (t <= duration_ps)
-    return ArrivalBatch(party[inside], detector[inside], t[inside], emission[inside])
-
-
 def _finalize_channel(
     party_name: str,
     dnum: int,
@@ -365,49 +284,6 @@ def _finalize_channel(
         kept = _dead_time_mask(t_all, dead_ps)
         t_all, origin, em_all = t_all[kept], origin[kept], em_all[kept]
     return ChannelStream(party_name, dnum, t_all, origin, em_all)
-
-
-def detect(
-    arrivals: ArrivalBatch,
-    duration: float,
-    ch: ChannelParams,
-    det: DetectorParams,
-    rng: np.random.Generator,
-) -> list[ChannelStream]:
-    """Channel and detector response over one batch of photon arrivals.
-
-    Each arrival survives with probability
-    10^(-loss/10) * filter_transmission * efficiency for its party, the
-    survivors get Gaussian timestamp jitter, dark counts join each detector
-    as independent Poisson streams, and dead-time pruning runs last per
-    channel.
-    """
-    if len(arrivals) > 1 and np.any(np.diff(arrivals.t_ps) < 0):
-        raise ContractViolation("arrivals must be time-sorted")
-    surv = _survive_and_jitter(arrivals, int(round(duration * 1e12)), ch, det, rng)
-    streams = []
-    for party_name, d in CHANNELS:
-        pcode = 0 if party_name == ALICE else 1
-        sel = (surv.party == pcode) & (surv.detector == d)
-        streams.append(
-            _finalize_channel(
-                party_name, d, surv.t_ps[sel], surv.emission[sel], duration, det, rng
-            )
-        )
-    return streams
-
-
-def _route_batch(
-    geometry: Geometry, path1: np.ndarray, path2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized routing: per-photon party code (0 alice, 1 bob)."""
-    if geometry is Geometry.FRANSON:
-        return np.zeros(len(path1), dtype=np.uint8), np.ones(len(path2), dtype=np.uint8)
-    if geometry is Geometry.HUG:
-        party1 = path1.astype(np.uint8)  # short stays at Alice, long crosses to Bob
-        party2 = (1 - path2).astype(np.uint8)  # short stays at Bob, long crosses to Alice
-        return party1, party2
-    raise ContractViolation(f"unknown geometry {geometry!r}")
 
 
 def _survivors(u: np.ndarray, party: np.ndarray, p_a: float, p_b: float) -> np.ndarray:
@@ -447,12 +323,7 @@ def _shard_draws(
         return path1, path2, outcome
 
     hv = draw_hidden(n, rng)
-    if strategy.paths_use_settings:
-        path1 = strategy.path_1(hv, phi_a).astype(np.uint8)
-        path2 = strategy.path_2(hv, phi_b).astype(np.uint8)
-    else:
-        path1 = strategy.path_1(hv).astype(np.uint8)
-        path2 = strategy.path_2(hv).astype(np.uint8)
+    path1, path2 = (p.astype(np.uint8) for p in strategy.paths(hv, phi_a, phi_b))
 
     def outcome(idx: np.ndarray, party: int) -> np.ndarray:
         sub = HiddenSample(hv.theta[idx], hv.coin[idx], hv.aux[idx], hv.aux2[idx])
@@ -484,15 +355,20 @@ def simulate_experiment(
     streams.  ``v_eff`` must already include the indistinguishability and
     dephasing factors.  Each photon detection carries the index of its
     emission.
+
+    Survival is coupled across losses: each photon has one survival
+    uniform, drawn whatever the losses, so at a fixed seed raising any loss
+    can only remove survivors.  With jitter, dark counts and dead time off,
+    each channel's ``emission`` ids are then a subset of those at the lower
+    loss.  The relation holds for the survivor set but not for timestamps
+    once jitter is on: jitter is drawn per survivor in order, so a loss
+    change shifts which jitter value each survivor gets.
     """
     if isinstance(mode, str) and mode != "quantum":
         raise ConfigurationError(f"mode must be 'quantum' or an LhvStrategy, got {mode!r}")
     strategy = mode if isinstance(mode, LhvStrategy) else None
-    if strategy is not None and geometry is Geometry.HUG and strategy.paths_use_settings:
-        raise ConfigurationError(
-            f"strategy {strategy.name!r} needs setting-dependent paths; "
-            "the cross-linked geometry forbids them"
-        )
+    if strategy is not None:
+        strategy.check_geometry(geometry)
 
     delta_t_ps = int(round(arms.delta_t * 1e12))
     emissions = generate_pairs(src)
@@ -516,11 +392,11 @@ def simulate_experiment(
         n = stop - start
         rng = np.random.default_rng(np.random.SeedSequence([int(src.seed), 1, shard_idx]))
         path1, path2, outcome = _shard_draws(strategy, n, phi_a, phi_b, cum, rng)
-        party1, party2 = _route_batch(geometry, path1, path2)
+        party1, party2 = route(geometry, path1, path2)
 
         # Survival thinning first: one uniform per photon against the
-        # party's probability (coupled sampling: raising any loss can only
-        # shrink the kept set), then all remaining work runs on survivors.
+        # party's probability (coupled across losses, see the docstring),
+        # then all remaining work runs on survivors.
         det_rng = np.random.default_rng(np.random.SeedSequence([int(src.seed), 2, shard_idx]))
         u = det_rng.random(2 * n)
         keep1 = _survivors(u[:n], party1, p_a, p_b)

@@ -6,7 +6,9 @@ recovery from the synchronization pulses, windowed coincidence matching,
 matched-slot post-selection, and finally the correlation/Bell estimators.
 Every block draws its randomness from a substream of the run seed, so a
 run is reproduced byte-for-byte by its config plus seed, and nothing
-wall-clock-dependent is ever written into the artifacts.
+wall-clock-dependent is ever written into the artifacts.  When time tags
+are saved, each quad block writes the tags and coincidence records it has
+just analysed before the next block starts; nothing is simulated twice.
 
 Bell values are always computed from raw counts; the accidental estimate
 is reported next to a measured control-window rate but never subtracted.
@@ -36,7 +38,7 @@ from .estimators import (
 )
 from .lhv import LhvStrategy, get_strategy
 from .lockbox import run_lock, residual_to_visibility
-from .photonics import simulate_experiment
+from .photonics import CHANNELS, simulate_experiment
 from .qmodel import DIFFERENCE
 from .tagger import (
     CoincidenceConfig,
@@ -71,7 +73,6 @@ class BlockResult:
     accidental_estimate_hz: float
     accidental_measured_hz: float
     offset_recovered_s: float
-    coincidence_sets: list[CoincidenceSet] | None = None
 
 
 @dataclass
@@ -136,9 +137,13 @@ def run_setting_block(
     seed: int,
     strategy: LhvStrategy | None,
     v_eff: float,
-    keep_sets: bool = False,
+    save_to: tuple[Path, Path] | None = None,
 ) -> BlockResult:
-    """Simulate one setting pair and reduce it to coincidence counts."""
+    """Simulate one setting pair and reduce it to coincidence counts.
+
+    With ``save_to`` = (time-tag file, coincidence CSV), the block's tags
+    and coincidence records are written there from the arrays it analysed.
+    """
     src = cfg.source_params(duration, seed)
     sim = simulate_experiment(
         cfg.geometry,
@@ -176,7 +181,7 @@ def run_setting_block(
     n_ls = 0
     n_sl = 0
     accidental_pairs = 0
-    sets = [] if keep_sets else None
+    sets = []
     control_center = cc_cfg.delta_t_ps // 2  # between the matched and LS slots
     for x, y in _PAIRS:
         coinc = match(alice[x], bob[y], cc_cfg, alice_detector=x, bob_detector=y)
@@ -188,8 +193,10 @@ def run_setting_block(
         accidental_pairs += count_in_window(
             alice[x], bob[y], control_center, cc_cfg.window_ps, offset_ps
         )
-        if sets is not None:
+        if save_to is not None:
             sets.append(coinc)
+    if save_to is not None:
+        _write_block_tags(save_to, alice, bob, sets)
 
     alice_rate = (len(alice[1]) + len(alice[2])) / duration
     bob_rate = (len(bob[1]) + len(bob[2])) / duration
@@ -210,8 +217,27 @@ def run_setting_block(
         accidental_estimate_hz=accidental_rate(alice_rate, bob_rate, cfg.window),
         accidental_measured_hz=accidental_pairs / duration,
         offset_recovered_s=offset_s,
-        coincidence_sets=sets,
     )
+
+
+def _write_block_tags(
+    save_to: tuple[Path, Path],
+    alice: dict[int, np.ndarray],
+    bob: dict[int, np.ndarray],
+    sets: list[CoincidenceSet],
+) -> None:
+    """One block's time tags, merged in time order, and its coincidence records.
+
+    Tags are numbered by their channel's position in ``CHANNELS``; Bob's
+    carry the link delay.  The stable sort keeps channel order among ties.
+    """
+    tags_path, coincidences_path = save_to
+    streams = [(alice if party == ALICE else bob)[d] for party, d in CHANNELS]
+    channel = np.concatenate([np.full(len(t), i, dtype=np.uint8) for i, t in enumerate(streams)])
+    t = np.concatenate(streams)
+    order = np.argsort(t, kind="stable")
+    write_timetags_binary(tags_path, channel[order], t[order].astype(np.uint64))
+    write_coincidences_csv(coincidences_path, sets)
 
 
 @dataclass
@@ -222,11 +248,18 @@ class QuadResult:
 
 
 def run_quad(
-    cfg: RunConfig, v_eff: float, strategy: LhvStrategy | None, keep_sets: bool = False
+    cfg: RunConfig, v_eff: float, strategy: LhvStrategy | None, out: Path | None = None
 ) -> QuadResult:
-    """Four disjoint setting blocks plus the CHSH estimates."""
+    """Four disjoint setting blocks plus the CHSH estimates.
+
+    With a run directory ``out``, block k saves its tags to
+    ``timetags/quad{k}.bin`` and ``coincidences_quad{k}.csv`` there.
+    """
     blocks = []
     for k, (phi_a, phi_b) in enumerate(cfg.quad.pairs()):
+        save_to = None
+        if out is not None:
+            save_to = (out / "timetags" / f"quad{k}.bin", out / f"coincidences_quad{k}.csv")
         blocks.append(
             run_setting_block(
                 cfg,
@@ -236,7 +269,7 @@ def run_quad(
                 _block_seed(cfg.seed, 10, k),
                 strategy,
                 v_eff,
-                keep_sets=keep_sets,
+                save_to=save_to,
             )
         )
     bell = estimate_S(*[estimate_E(b.counts) for b in blocks])
@@ -388,7 +421,9 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path, force: bool = False) -> 
     chain = resolve_visibility(cfg) if strategy is None else None
     v_eff = chain.effective if chain is not None else 1.0
 
-    quad = run_quad(cfg, v_eff, strategy, keep_sets=cfg.save_timetags)
+    if cfg.save_timetags:
+        (out / "timetags").mkdir(exist_ok=True)
+    quad = run_quad(cfg, v_eff, strategy, out if cfg.save_timetags else None)
     sweep = run_sweep(cfg, v_eff, strategy) if cfg.sweep else None
 
     (out / "resolved.cfg").write_text(serialize_resolved(cfg.raw), encoding="utf-8")
@@ -490,53 +525,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | Path, force: bool = False) -> 
             },
         )
 
-    if cfg.save_timetags:
-        tag_dir = out / "timetags"
-        tag_dir.mkdir(exist_ok=True)
-        for i, b in enumerate(quad.blocks):
-            if b.coincidence_sets is not None:
-                write_coincidences_csv(out / f"coincidences_quad{i}.csv", b.coincidence_sets)
-        _save_block_tags(cfg, tag_dir, strategy, v_eff)
-
     (out / "summary.txt").write_text(render_summary(out), encoding="utf-8")
     return out
-
-
-def _save_block_tags(
-    cfg: RunConfig, tag_dir: Path, strategy: LhvStrategy | None, v_eff: float
-) -> None:
-    """Re-simulate each quad block and persist its raw tag streams.
-
-    Regeneration is exact (same substream seeds as the analysis pass), so
-    the written streams are the ones the counts came from.
-    """
-    delay_ps = int(round(cfg.bob_link_delay * 1e12))
-    for k, (phi_a, phi_b) in enumerate(cfg.quad.pairs()):
-        src = cfg.source_params(cfg.duration_per_setting, _block_seed(cfg.seed, 10, k))
-        sim = simulate_experiment(
-            cfg.geometry,
-            strategy if strategy is not None else "quantum",
-            phi_a,
-            phi_b,
-            src,
-            cfg.channel,
-            cfg.detector,
-            cfg.arms,
-            v_eff=v_eff,
-            convention=cfg.convention,
-        )
-        chans = []
-        times = []
-        for idx, stream in enumerate(sim.channels):
-            t = stream.t_ps + (delay_ps if stream.party == BOB else 0)
-            chans.append(np.full(len(t), idx, dtype=np.uint8))
-            times.append(t)
-        channel_arr = np.concatenate(chans)
-        t_arr = np.concatenate(times)
-        order = np.argsort(t_arr, kind="stable")
-        write_timetags_binary(
-            tag_dir / f"quad{k}.bin", channel_arr[order], t_arr[order].astype(np.uint64)
-        )
 
 
 _REQUIRED_ARTIFACTS = ("manifest.json", "resolved.cfg", "counts.csv", "bell.json")

@@ -13,9 +13,9 @@ scalar loop.  A deliberately naive reference matcher (``match_bruteforce``)
 implements the same eligibility rule from scratch and exists only to
 cross-check it.
 
-File formats: a binary stream of (channel u8, timestamp u64 ps) records
-behind a one-line versioned header, and a plain ``channel,timestamp_ps``
-CSV for interchange.
+File formats: time tags as a binary stream of (channel u8, timestamp u64
+ps) records behind a one-line versioned header, and coincidence records as
+a plain ``alice_detector,bob_detector,delta_ps,slot`` CSV.
 """
 
 from __future__ import annotations
@@ -71,16 +71,6 @@ class CoincidenceConfig:
         )
 
 
-@dataclass(frozen=True)
-class CoincidenceRecord:
-    """One matched Alice-Bob tag pair (scalar view of a CoincidenceSet row)."""
-
-    alice_detector: int
-    bob_detector: int
-    delta_ps: int  # Alice timestamp minus clock-corrected Bob timestamp
-    slot: SlotClass
-
-
 @dataclass
 class CoincidenceSet:
     """Columnar batch of coincidence records for one channel pair."""
@@ -94,20 +84,6 @@ class CoincidenceSet:
 
     def __len__(self) -> int:
         return len(self.delta_ps)
-
-    def records(self) -> list[CoincidenceRecord]:
-        return [
-            CoincidenceRecord(
-                self.alice_detector, self.bob_detector, int(d), CODE_SLOTS[int(c)]
-            )
-            for d, c in zip(self.delta_ps, self.slot_code)
-        ]
-
-    def slot_counts(self) -> dict[SlotClass, int]:
-        return {
-            slot: int(np.count_nonzero(self.slot_code == code))
-            for slot, code in SLOT_CODES.items()
-        }
 
 
 @dataclass(frozen=True)
@@ -430,30 +406,6 @@ def read_timetags_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             raise ContractViolation(f"unrecognized time-tag header: {header!r}")
         rec = np.frombuffer(fh.read(), dtype=_RECORD_DTYPE)
     return rec["channel"].astype(np.uint8), rec["t_ps"].astype(np.int64)
-
-
-def write_timetags_csv(path: str | Path, channels: np.ndarray, t_ps: np.ndarray) -> None:
-    channels = np.asarray(channels)
-    t = np.asarray(t_ps)
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["channel", "timestamp_ps"])
-        for c, ts in zip(channels, t):
-            writer.writerow([int(c), int(ts)])
-
-
-def read_timetags_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    channels = []
-    t = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["channel", "timestamp_ps"]:
-            raise ContractViolation(f"unrecognized CSV header: {header!r}")
-        for row in reader:
-            channels.append(int(row[0]))
-            t.append(int(row[1]))
-    return np.asarray(channels, dtype=np.uint8), np.asarray(t, dtype=np.int64)
 
 
 def write_coincidences_csv(path: str | Path, sets: list[CoincidenceSet]) -> None:

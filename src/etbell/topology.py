@@ -8,7 +8,8 @@ cross-linked (``hug``) layout the long output of each source-side splitter
 is wired to the *other* party: mixed choices deliver both photons to a
 single party, and every cross-party coincidence is a matched short-short
 or long-long event with near-zero arrival-time difference.  Routing is
-purely structural; no analyzer phase enters here.
+purely structural (:func:`route` maps path codes to parties, and the long
+path adds the arm delay wherever it leads); no analyzer phase enters here.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 
@@ -25,25 +28,8 @@ class Geometry(Enum):
     HUG = "hug"
 
 
-# Path codes kept as small ints so event batches vectorize.
-SHORT = 0
-LONG = 1
-
 ALICE = "alice"
 BOB = "bob"
-
-
-@dataclass(frozen=True)
-class PathChoice:
-    """Per-photon interferometer path, SHORT or LONG."""
-
-    photon1: int
-    photon2: int
-
-    def __post_init__(self) -> None:
-        for p in (self.photon1, self.photon2):
-            if p not in (SHORT, LONG):
-                raise ContractViolation(f"path must be SHORT (0) or LONG (1), got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -63,14 +49,6 @@ class ArmConfig:
             raise ContractViolation("coherence_length must be positive")
 
 
-@dataclass(frozen=True)
-class ArrivalOutcome:
-    photon1_party: str
-    photon2_party: str
-    photon1_delay: float
-    photon2_delay: float
-
-
 class SlotClass(Enum):
     """Timing classification of one coincidence.
 
@@ -85,28 +63,23 @@ class SlotClass(Enum):
     ACCIDENTAL = "accidental"
 
 
-def route(geometry: Geometry, paths: PathChoice, arms: ArmConfig) -> ArrivalOutcome:
-    """Map per-photon path choices to (party, delay) arrivals.
+def route(
+    geometry: Geometry, path1: np.ndarray, path2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map per-photon path codes (uint8, 0 short / 1 long) to party codes.
 
-    franson: photon 1 always reaches Alice and photon 2 always reaches Bob,
-    delayed by ``arms.delta_t`` on the long path.  hug: the long path of
-    either photon crosses over to the other party, so mismatched choices
-    put both photons at the same party.
+    Returns (party1, party2), uint8 arrays with 0 for Alice and 1 for Bob.
+    franson: photon 1 always reaches Alice and photon 2 always reaches Bob.
+    hug: the long path of either photon crosses over to the other party,
+    so mismatched choices put both photons at the same party.
     """
-    d = arms.delta_t
-    delay1 = 0.0 if paths.photon1 == SHORT else d
-    delay2 = 0.0 if paths.photon2 == SHORT else d
     if geometry is Geometry.FRANSON:
-        return ArrivalOutcome(ALICE, BOB, delay1, delay2)
+        return np.zeros(len(path1), dtype=np.uint8), np.ones(len(path2), dtype=np.uint8)
     if geometry is Geometry.HUG:
-        party1 = ALICE if paths.photon1 == SHORT else BOB
-        party2 = BOB if paths.photon2 == SHORT else ALICE
-        return ArrivalOutcome(party1, party2, delay1, delay2)
+        party1 = path1.astype(np.uint8)  # short stays at Alice, long crosses to Bob
+        party2 = (1 - path2).astype(np.uint8)  # short stays at Bob, long crosses to Alice
+        return party1, party2
     raise ContractViolation(f"unknown geometry {geometry!r}")
-
-
-def _to_ps(seconds: float) -> int:
-    return int(round(seconds * 1e12))
 
 
 def classify_slot_ps(delta_ps: int, delta_t_ps: int, window_ps: int) -> SlotClass:
@@ -132,11 +105,6 @@ def classify_slot_ps(delta_ps: int, delta_t_ps: int, window_ps: int) -> SlotClas
     if abs(two + 2 * delta_t_ps) <= window_ps:
         return SlotClass.SL
     return SlotClass.ACCIDENTAL
-
-
-def classify_slot(delta_arrival: float, arms: ArmConfig, window: float) -> SlotClass:
-    """Classify an arrival-time difference (seconds) into a time slot."""
-    return classify_slot_ps(_to_ps(delta_arrival), _to_ps(arms.delta_t), _to_ps(window))
 
 
 def indistinguishability_factor(arms: ArmConfig) -> float:

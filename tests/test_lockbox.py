@@ -9,46 +9,48 @@ from etbell.lockbox import (
     DriftProcess,
     PidParams,
     ReferenceSignal,
-    error_signal,
     residual_to_visibility,
     run_lock,
-    step_drift,
 )
 
 REF = ReferenceSignal()
 PID = PidParams()
 ZERO_GAIN = PidParams(kp=0.0, ki=0.0, kd=0.0)
+# The default wandering contrast with the mean level held at exactly 1.
+FLAT_DC = ReferenceSignal(dc_min=1.0, dc_max=1.0)
+SETPOINTS = (math.pi / 4, -math.pi / 4)
 
 
 class TestDrift:
+    """The open-loop drift trace that ``run_lock`` returns."""
+
     def test_zero_diffusion_constant(self):
-        drift = DriftProcess(diffusion=0.0)
-        rng = np.random.default_rng(0)
-        assert step_drift(0.0, drift, rng) == 0.0
+        walk = DriftProcess(diffusion=0.0)
+        ou = DriftProcess(model="ou", diffusion=0.0, reversion_rate=50.0)
+        for drift in (walk, ou):
+            trace = run_lock(drift, REF, PID, 0.05, seed=0).drift
+            assert len(trace) == 2500
+            assert np.all(trace == 0.0)
 
     def test_random_walk_variance_law(self):
+        # Var[x(t + T) - x(t)] = diffusion * T: disjoint increments over
+        # 1, 40 and 400 loop samples of one 4 s trace.
         drift = DriftProcess(diffusion=100.0, sample_rate=5000.0)
-        rng = np.random.default_rng(1)
-        finals = []
-        steps = int(drift.sample_rate)
-        for _ in range(500):
-            x = 0.0
-            for inc in rng.normal(0.0, math.sqrt(100.0 / 5000.0), steps):
-                x += inc
-            finals.append(x)
-        var = np.var(finals)
-        # Var of the 1 s endpoint is diffusion * t; sample variance over 500
-        # trials has relative sigma sqrt(2/499).
-        assert abs(var - 100.0) < 3.0 * 100.0 * math.sqrt(2.0 / 499.0)
+        pid = PidParams(loop_rate=5000.0, bandwidth=1000.0)
+        trace = run_lock(drift, REF, pid, 4.0, seed=1).drift
+        for lag in (1, 40, 400):
+            steps = np.diff(trace[::lag])
+            expected = 100.0 * lag / 5000.0
+            # The sample variance of m Gaussian increments has relative
+            # sigma sqrt(2 / (m - 1)).
+            rel_sigma = math.sqrt(2.0 / (len(steps) - 1))
+            assert abs(np.var(steps) / expected - 1.0) < 3.5 * rel_sigma, lag
 
     def test_ou_stationary_variance(self):
         drift = DriftProcess(model="ou", diffusion=4.0, reversion_rate=50.0, sample_rate=10_000.0)
-        rng = np.random.default_rng(2)
-        x = 0.0
-        xs = np.empty(150_000)
-        for i in range(len(xs)):
-            x += step_drift(x, drift, rng)
-            xs[i] = x
+        pid = PidParams(loop_rate=10_000.0, bandwidth=2_000.0)
+        xs = run_lock(drift, REF, pid, 15.0, seed=2).drift
+        assert len(xs) == 150_000
         tail = xs[20_000:]
         expected = 4.0 / (2.0 * 50.0)
         n_eff = len(tail) / (2.0 * drift.sample_rate / drift.reversion_rate)
@@ -63,58 +65,48 @@ class TestDrift:
 
 
 class TestErrorSignal:
+    """The a-c coupled quadrature error, seen through the closed loop."""
+
     def test_constant_intensity_zero(self):
-        samples = np.full(200, 1.7)
-        assert error_signal(samples, 20.0, 50_000.0) == 0.0
+        # No fringe and a fixed mean level: the intensity is constant, the
+        # error is zero, so the actuator never moves off the drift.
+        blank = ReferenceSignal(visibility_min=0.0, visibility_max=0.0, dc_min=1.0, dc_max=1.0)
+        result = run_lock(DriftProcess(diffusion=2.0), blank, PID, 0.2, seed=6)
+        assert np.array_equal(result.residual, result.drift)
+        assert np.any(result.drift != 0.0)
 
     def test_steady_quadrature_zero(self):
-        # phi = pi/4 exactly: cos(2 phi) = 0, intensity constant -> zero.
-        ref = ReferenceSignal()
-        samples = np.array([ref.intensity(math.pi / 4, 0.6, 1.0)] * 100)
-        assert error_signal(samples, 20.0, 50_000.0) == 0.0
+        # At +-pi/4, cos(2 phi) vanishes, so the wandering contrast moves
+        # the intensity by nothing: without drift the residual is exactly 0.
+        # A fringe written as cos(phi) would leave it wandering.
+        for setpoint in SETPOINTS:
+            r = run_lock(DriftProcess(diffusion=0.0), FLAT_DC, PID, 0.5, seed=5, setpoint=setpoint)
+            assert np.all(r.residual == 0.0), setpoint
+            assert r.report.locked
 
     def test_zero_crossings_sit_at_quadrature(self):
-        # Sweep many fringes well above the cutoff: after d-c removal the
-        # output crosses zero exactly at the quadrature phases, and the
-        # positive-slope crossings are the -pi/4 (mod pi) family.
-        sample_rate = 50_000.0
-        n = 40_000
-        t = np.arange(n) / sample_rate
-        # Fringe rate far above the cutoff so the filter's phase lead
-        # (atan(f_c / f) / 2 in phi) is negligible.
-        phase = 2.0 * math.pi * 400.0 * t
-        intensity = 1.0 * (1.0 + 0.6 * np.cos(2.0 * phase))
-        from etbell.lockbox import HighPass
-
-        hp = HighPass(20.0, sample_rate)
-        out = np.array([hp.step(float(x)) for x in intensity])
-        tail = slice(n // 2, n)
-        y = out[tail]
-        phi = phase[tail]
-        crossings = np.flatnonzero(np.diff(np.sign(y)) != 0)
-        assert len(crossings) > 50
-        for idx in crossings:
-            phi_c = (phi[idx] % math.pi) / math.pi  # quadratures at 0.25, 0.75
-            assert min(abs(phi_c - 0.25), abs(phi_c - 0.75)) < 0.03
-            rising = y[idx + 1] > y[idx]
-            expected_family = 0.75 if rising else 0.25  # -pi/4 mod pi = 3 pi/4
-            assert abs(phi_c - expected_family) < 0.03
+        # Each set point is the zero crossing whose slope the loop expects:
+        # under drift the loop holds the residual near 0 there, where a
+        # wrong slope sign would push it to the neighbouring quadrature.
+        for setpoint in SETPOINTS:
+            for seed in range(3):
+                r = run_lock(
+                    DriftProcess(diffusion=2.0), REF, PID, 0.5, seed=seed, setpoint=setpoint
+                )
+                assert r.report.locked, (setpoint, seed)
+                assert r.report.residual_rms < 0.05
+                assert abs(r.residual[len(r.residual) // 2 :].mean()) < 0.05
 
     def test_contrast_rescaling_preserves_sign_and_zero(self):
-        sample_rate = 50_000.0
-        phases = np.linspace(-0.8, -0.3, 300)
-        for scale in (1.0, 0.5, 0.25):
-            intensity = np.array([REF.intensity(p, 0.6 * scale, 1.0) for p in phases])
-            out = error_signal(intensity, 20.0, sample_rate)
-            if scale == 1.0:
-                reference = out
-            else:
-                assert (out < 0) == (reference < 0)
-                assert out == pytest.approx(reference * scale, rel=1e-9)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ContractViolation):
-            error_signal(np.array([1.0]), 20.0, 50_000.0)
+        # Rescaling the fringe contrast rescales the error: the zero stays
+        # put (exact 0 without drift) and the sign holds (the loop still
+        # locks under drift) at every contrast.
+        for v in (0.9, 0.45, 0.225, 0.1):
+            ref = ReferenceSignal(visibility_min=v, visibility_max=v, dc_min=1.0, dc_max=1.0)
+            still = run_lock(DriftProcess(diffusion=0.0), ref, PID, 0.2, seed=5)
+            assert np.all(still.residual == 0.0), v
+            r = run_lock(DriftProcess(diffusion=2.0), ref, PID, 0.5, seed=5)
+            assert r.report.locked and r.report.residual_rms < 0.1, v
 
 
 class TestRunLock:

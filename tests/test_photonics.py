@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,16 +12,14 @@ from etbell.estimators import estimate_E
 from etbell.lhv import LhvStrategy, coin_strategy, draw_hidden, faking_strategy
 from etbell.photonics import (
     CHANNELS,
-    ArrivalBatch,
+    DARK,
+    PHOTON,
     ChannelParams,
     DetectorParams,
     SourceParams,
     _dead_time_mask,
     _finalize_channel,
-    apply_dead_time,
-    detect,
     generate_pairs,
-    sample_quantum_event,
     sample_quantum_events,
     simulate_experiment,
     survival_probability,
@@ -31,6 +30,7 @@ from etbell.topology import ALICE, BOB, ArmConfig, Geometry
 IDEAL_CH = ChannelParams(loss_a_db=0, loss_b_db=0, coupling_loss_db=0, filter_transmission=1.0)
 IDEAL_DET = DetectorParams(efficiency=1.0, dark_rate=0.0, jitter_sigma=0.0, dead_time=0.0)
 ARMS = ArmConfig(delta_t=10e-9)
+DELTA_T_PS = 10_000
 CC = CoincidenceConfig.from_seconds(1e-9, 0.0, 10e-9)
 
 
@@ -110,30 +110,30 @@ class TestQuantumSampling:
             expected = qmodel.correlation(phi_a, 0.25, 0.9)
             assert abs(e - expected) < 3.5 * math.sqrt((1 - expected**2) / n)
 
-    def test_scalar_wrapper(self):
-        rng = np.random.default_rng(9)
-        paths, (x, y) = sample_quantum_event(0.0, 0.0, 1.0, rng)
-        assert paths.photon1 in (0, 1) and paths.photon2 in (0, 1)
-        assert x in (1, 2) and y in (1, 2)
-
 
 class TestDetect:
-    def _arrivals(self, n, rng, party=None):
-        t = np.sort(rng.integers(0, 10**12, n))
-        return ArrivalBatch(
-            party=(rng.integers(0, 2, n).astype(np.uint8) if party is None else np.full(n, party, np.uint8)),
-            detector=rng.integers(1, 3, n).astype(np.uint8),
-            t_ps=t,
-            emission=np.arange(n, dtype=np.int64),
+    """Survival, dark counts and dead time, on short simulate_experiment blocks."""
+
+    def _run(self, ch=IDEAL_CH, det=IDEAL_DET, pair_rate=1e6, duration=0.01, seed=10):
+        src = SourceParams(pair_rate=pair_rate, duration=duration, seed=seed)
+        return src, simulate_experiment(
+            Geometry.HUG, "quantum", 0.3, 1.1, src, ch, det, ARMS, v_eff=0.8
         )
 
     def test_identity_when_lossless(self):
-        rng = np.random.default_rng(10)
-        arr = self._arrivals(5000, rng)
-        streams = detect(arr, 1.0, IDEAL_CH, IDEAL_DET, np.random.default_rng(0))
-        assert sum(len(s) for s in streams) == 5000
-        merged = np.sort(np.concatenate([s.t_ps for s in streams]))
-        assert np.array_equal(merged, arr.t_ps)
+        src, sim = self._run()
+        t_emit = generate_pairs(src)
+        em = np.concatenate([c.emission for c in sim.channels])
+        t = np.concatenate([c.t_ps for c in sim.channels])
+        assert all(np.all(c.origin == PHOTON) for c in sim.channels)
+        # Each tag is its pair's emission time plus the arm delay of its path.
+        assert set(np.unique(t - t_emit[em]).tolist()) == {0, DELTA_T_PS}
+        # Both photons of every pair are detected, except a long-path photon
+        # that arrives after the block ends.
+        per_pair = np.bincount(em, minlength=len(t_emit))
+        late = t_emit + DELTA_T_PS > round(src.duration * 1e12)
+        assert np.all(per_pair[~late] == 2)
+        assert np.all(per_pair[late] <= 2)
 
     def test_survival_probability_field_budget(self):
         ch = ChannelParams(loss_a_db=17.0, loss_b_db=17.0, coupling_loss_db=0.0, filter_transmission=0.9)
@@ -142,76 +142,58 @@ class TestDetect:
         assert p == pytest.approx(0.0108, abs=2e-4)
 
     def test_survival_band(self):
-        rng = np.random.default_rng(11)
-        n = 1_000_000
-        arr = self._arrivals(n, rng, party=0)
-        ch = ChannelParams(loss_a_db=17.0, loss_b_db=17.0, coupling_loss_db=0.0, filter_transmission=0.9)
+        # Each pair sends one photon to each party on average (hug routes
+        # each photon by its fair path bit), so a party's tags number about
+        # pairs x its own survival probability.
+        ch = ChannelParams(loss_a_db=17.0, loss_b_db=20.0, coupling_loss_db=0.0, filter_transmission=0.9)
         det = DetectorParams(efficiency=0.6, dark_rate=0.0, jitter_sigma=0.0, dead_time=0.0)
-        streams = detect(arr, 1.0, ch, det, np.random.default_rng(1))
-        total = sum(len(s) for s in streams)
-        expected = n * survival_probability(ch, det, ALICE)
-        assert abs(total - expected) < 3.0 * math.sqrt(expected)
+        _, sim = self._run(ch, det, pair_rate=1e7, duration=0.1, seed=11)
+        for party in (ALICE, BOB):
+            total = sum(len(c) for c in sim.channels if c.party == party)
+            expected = sim.pairs_emitted * survival_probability(ch, det, party)
+            assert abs(total - expected) < 3.0 * math.sqrt(expected), party
 
     def test_dark_counts_poisson_band(self):
-        arr = ArrivalBatch(
-            party=np.empty(0, np.uint8),
-            detector=np.empty(0, np.uint8),
-            t_ps=np.empty(0, np.int64),
-            emission=np.empty(0, np.int64),
-        )
-        det = DetectorParams(efficiency=1.0, dark_rate=100.0, jitter_sigma=0.0, dead_time=0.0)
-        streams = detect(arr, 100.0, IDEAL_CH, det, np.random.default_rng(12))
-        total = sum(len(s) for s in streams)  # 4 detectors x 100/s x 100 s
+        det = DetectorParams(efficiency=0.0, dark_rate=10_000.0, jitter_sigma=0.0, dead_time=0.0)
+        _, sim = self._run(det=det, pair_rate=10.0, duration=1.0, seed=12)
+        total = sum(len(c) for c in sim.channels)  # 4 detectors x 10k/s x 1 s
         assert abs(total - 40_000) < 3.0 * math.sqrt(40_000)
-        assert all(np.all(s.origin == 1) for s in streams if len(s))
-
-    def test_record_view(self):
-        rng = np.random.default_rng(15)
-        arr = self._arrivals(100, rng, party=0)
-        streams = detect(arr, 1.0, IDEAL_CH, IDEAL_DET, np.random.default_rng(4))
-        recs = streams[0].records()
-        assert len(recs) == len(streams[0])
-        if recs:
-            assert recs[0].party == ALICE
-            assert recs[0].detector == 1
-            assert recs[0].origin == 0
+        assert all(np.all(c.origin == DARK) and np.all(c.emission == -1) for c in sim.channels)
 
     def test_dead_time_spacing(self):
-        rng = np.random.default_rng(13)
-        arr = self._arrivals(20_000, rng)
+        # About 0.5 MHz per detector against 0.5 us of dead time: many kills.
         det = DetectorParams(efficiency=1.0, dark_rate=1000.0, jitter_sigma=0.0, dead_time=5e-7)
-        streams = detect(arr, 1.0, IDEAL_CH, det, np.random.default_rng(3))
-        for s in streams:
-            if len(s) > 1:
-                assert np.min(np.diff(s.t_ps)) >= int(5e-7 * 1e12)
+        _, sim = self._run(det=det, pair_rate=2e6, duration=0.01, seed=13)
+        _, live = self._run(det=replace(det, dead_time=0.0), pair_rate=2e6, duration=0.01, seed=13)
+        for s, full in zip(sim.channels, live.channels):
+            assert np.min(np.diff(s.t_ps)) >= int(5e-7 * 1e12)
+            assert 0 < len(s) < 0.9 * len(full)
 
     def test_monotone_loss(self):
-        rng = np.random.default_rng(14)
-        arr = self._arrivals(50_000, rng)
+        # Exact loss coupling at one seed: each channel's survivors at a
+        # higher loss are a subset of those at the lower loss, with the same
+        # timestamps.  Bob's link is 1 dB longer, so the two parties'
+        # survival probabilities differ at every step.
         det = DetectorParams(efficiency=1.0, dark_rate=0.0, jitter_sigma=0.0, dead_time=0.0)
-        counts = []
-        for loss in (0.0, 3.0, 10.0, 20.0, 30.0):
-            ch = ChannelParams(loss_a_db=loss, loss_b_db=loss, coupling_loss_db=0.0, filter_transmission=1.0)
-            streams = detect(arr, 1.0, ch, det, np.random.default_rng(77))
-            counts.append([len(s) for s in streams])
-        for prev, nxt in zip(counts, counts[1:]):
-            assert all(a >= b for a, b in zip(prev, nxt))
-
-    def test_rejects_unsorted(self):
-        arr = ArrivalBatch(
-            party=np.zeros(2, np.uint8),
-            detector=np.ones(2, np.uint8),
-            t_ps=np.array([5, 1], dtype=np.int64),
-            emission=np.array([0, 1], dtype=np.int64),
-        )
-        with pytest.raises(ContractViolation):
-            detect(arr, 1.0, IDEAL_CH, IDEAL_DET, np.random.default_rng(0))
+        prev = None
+        for loss in (0.0, 3.0, 10.0, 30.0):
+            ch = ChannelParams(
+                loss_a_db=loss, loss_b_db=loss + 1.0, coupling_loss_db=0.0, filter_transmission=1.0
+            )
+            _, sim = self._run(ch, det, pair_rate=1e7, duration=0.01, seed=14)
+            # (emission, t) identifies a tag: in hug both photons of a pair
+            # may reach one detector, at times one arm delay apart.
+            tags = [set(zip(c.emission.tolist(), c.t_ps.tolist())) for c in sim.channels]
+            assert all(tags), loss
+            if prev is not None:
+                for now, before in zip(tags, prev):
+                    assert now < before, loss
+            prev = tags
 
 
 def test_apply_dead_time_greedy():
     t = np.array([0, 400, 900, 1500, 1600], dtype=np.int64)
-    out = apply_dead_time(t, 500e-12)
-    assert out.tolist() == [0, 900, 1500]
+    assert t[_dead_time_mask(t, 500)].tolist() == [0, 900, 1500]
 
 
 def dead_time_mask_scalar(t_ps, dead_ps):

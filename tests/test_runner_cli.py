@@ -1,10 +1,11 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
-from etbell import cli
+from etbell import cli, runner
 from etbell.config import (
     build_config,
     bundled_config_names,
@@ -14,7 +15,10 @@ from etbell.config import (
     serialize_resolved,
 )
 from etbell.errors import ConfigurationError, ReportError
+from etbell.photonics import CHANNELS, simulate_experiment
 from etbell.runner import render_summary, report, run_experiment
+from etbell.tagger import read_timetags_binary
+from etbell.topology import BOB
 
 FAST_SECTIONS = {
     "run": {
@@ -70,11 +74,22 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="mode"):
             build_config({"run": {"mode": "psychic"}})
 
-    @pytest.mark.parametrize("mode", ["lhv:random:x", "lhv:random:", "lhv:random:-3", "lhv:psychic"])
+    # lhv:faking reads the settings in its paths, which the default
+    # cross-linked geometry refuses.
+    @pytest.mark.parametrize(
+        "mode", ["lhv:random:x", "lhv:random:", "lhv:random:-3", "lhv:psychic", "lhv:faking"]
+    )
     def test_strategy_parsed_at_load(self, mode):
         with pytest.raises(ConfigurationError, match="mode"):
             build_config({"run": {"mode": mode}})
         assert build_config({"run": {"mode": "lhv:random:4"}}).mode == "lhv:random:4"
+
+    def test_alice_phase_sigma_bounded(self):
+        for sigma in (0.0, 0.4, 0.5606, 2.0 * math.pi):
+            assert build_config({"dephasing": {"alice_phase_sigma": sigma}}).alice_phase_sigma == sigma
+        for sigma in (-0.1, 2.0 * math.pi + 1e-9, 1e200):
+            with pytest.raises(ConfigurationError, match=r"\[0, 2 pi\]"):
+                build_config({"dephasing": {"alice_phase_sigma": sigma}})
 
     @pytest.mark.parametrize("rate", [1e12, 1e30])
     def test_pair_rate_beyond_memory(self, rate):
@@ -200,13 +215,42 @@ class TestRunExperiment:
         out = run_experiment(cfg, tmp_path / "tags")
         tagged = list((out / "timetags").glob("quad*.bin"))
         assert len(tagged) == 4
-        from etbell.tagger import read_timetags_binary
-
         channels, t = read_timetags_binary(tagged[0])
         assert len(t) > 0
         assert np.all(np.diff(t) >= 0)
         assert set(np.unique(channels)) <= {0, 1, 2, 3}
         assert (out / "coincidences_quad0.csv").exists()
+
+    @pytest.mark.parametrize("sweep", ["off", "on"])
+    def test_save_timetags_simulates_each_block_once(self, tmp_path, monkeypatch, sweep):
+        # The saved tags and records come from the blocks the run analysed:
+        # one simulation per block, and the files agree with that block.
+        sims = []
+
+        def counted(*args, **kwargs):
+            sims.append(simulate_experiment(*args, **kwargs))
+            return sims[-1]
+
+        monkeypatch.setattr(runner, "simulate_experiment", counted)
+        cfg = fast_config(
+            run={"save_timetags": "on", "duration_per_setting": 0.02, "sweep": sweep,
+                 "sweep_points": 5, "sweep_duration_per_point": 0.01},
+        )
+        out = run_experiment(cfg, tmp_path / "tags")
+        assert len(sims) == 4 + (5 if sweep == "on" else 0)
+
+        with open(out / "counts.csv", newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["stage"] == "quad"]
+        delay_ps = round(cfg.bob_link_delay * 1e12)
+        for k, (row, sim) in enumerate(zip(rows, sims)):
+            channels, t = read_timetags_binary(out / "timetags" / f"quad{k}.bin")
+            for idx, (party, d) in enumerate(CHANNELS):
+                want = sim.channel(party, d).t_ps + (delay_ps if party == BOB else 0)
+                assert np.array_equal(t[channels == idx], want), (k, party, d)
+            with open(out / f"coincidences_quad{k}.csv", encoding="utf-8") as fh:
+                n_records = sum(1 for _ in fh) - 1
+            fields = ("n11", "n12", "n21", "n22", "discarded_ls", "discarded_sl")
+            assert n_records == sum(int(row[f]) for f in fields) > 0
 
     def test_sync_recovery_in_pipeline(self, tmp_path):
         cfg = fast_config(coincidence={"sync": "on", "bob_link_delay": 18.5e-6})
@@ -297,7 +341,12 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "body, needle",
-        [("[run]\nmode = lhv:random:x\n", "integer"), ("[source]\npair_rate = 1e30\n", "GB")],
+        [
+            ("[run]\nmode = lhv:random:x\n", "integer"),
+            ("[source]\npair_rate = 1e30\n", "GB"),
+            ("[run]\nmode = lhv:faking\ngeometry = hug\n", "cross-linked"),
+            ("[dephasing]\nalice_phase_sigma = 1e200\n", "2 pi"),
+        ],
     )
     def test_load_time_rejections_exit_code(self, tmp_path, body, needle, capsys):
         cfg_path = tmp_path / "bad.cfg"
