@@ -2,10 +2,18 @@
 
 Configs are layered key-value files with one section per subsystem,
 parsed with :mod:`configparser`; a JSON mirror with the same nesting is
-accepted for files ending in ``.json``.  Every key is validated against
-the schema below, cross-field physics checks run after parsing, and the
-resolved configuration can be serialized back out verbatim so a run
-directory always carries exactly what was simulated.
+accepted for files ending in ``.json``.  Keys outside :data:`SCHEMA` are
+refused, among them ``[run] n_pairs`` (``etbell lhv`` takes the pair
+count from its command line) and ``[source] pump_power_mw`` and
+``wavelength_nm``, which nothing reads.  The ``[channel]``, ``[detector]``
+and ``[arms]`` keys and the PID keys of ``[lock]`` are the fields, types
+and defaults of the subsystem dataclasses; each section is built as
+``Params(**section)`` and each object checks its own invariants.
+:func:`build_config` tags such a violation with its section and adds the
+cross-field checks, among them a non-negative ``[run] seed``,
+``0 < sync_bin < sync_search_span`` and a ``[lock] duration`` of at least
+two loop samples.  The resolved configuration is serialized back out
+verbatim so a run directory always carries exactly what was simulated.
 """
 
 from __future__ import annotations
@@ -14,16 +22,17 @@ import configparser
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .errors import ConfigurationError, ContractViolation, StrategyGeometryError
 from .lhv import get_strategy
 from .lockbox import DriftProcess, PidParams, ReferenceSignal
 from .photonics import ChannelParams, DetectorParams, SourceParams
-from .qmodel import DIFFERENCE, PHASE_CONVENTIONS, SettingsQuad, canonical_quad
+from .qmodel import DIFFERENCE, PHASE_CONVENTIONS, SettingsQuad, canonical_quad, validate_visibility
+from .tagger import CoincidenceConfig
 from .topology import ArmConfig, Geometry
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -58,44 +67,38 @@ def _as_int(raw: Any, where: str) -> int:
         raise ConfigurationError(f"{where}: expected an integer, got {raw!r}") from exc
 
 
-# section -> key -> (converter, default).  None default means required.
+def _as_str(raw: Any, where: str) -> str:
+    return str(raw).strip()
+
+
+# The subsystem modules postpone annotations, so a field's type is its name.
+_CONVERTERS = {"bool": _as_bool, "float": _as_float, "int": _as_int, "str": _as_str}
+
+
+def _fields_of(cls: type) -> dict[str, tuple[Any, Any]]:
+    """Schema entries of a subsystem dataclass: field -> (converter, default)."""
+    return {f.name: (_CONVERTERS[f.type], f.default) for f in fields(cls)}
+
+
+# section -> key -> (converter, default).
 SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
     "run": {
-        "mode": (str, "quantum"),  # quantum | lhv:<strategy>
-        "geometry": (str, "hug"),  # hug | franson
+        "mode": (_as_str, "quantum"),  # quantum | lhv:<strategy>
+        "geometry": (_as_str, "hug"),  # hug | franson
         "seed": (_as_int, 1),
-        "phase_convention": (str, DIFFERENCE),
-        "settings": (str, "canonical"),  # canonical | "a0,a1,b0,b1" in radians
-        "duration_per_setting": (_as_float, 0.1),  # seconds, quantum mode
-        "n_pairs": (_as_int, 1_000_000),  # lhv mode
+        "phase_convention": (_as_str, DIFFERENCE),
+        "settings": (_as_str, "canonical"),  # canonical | "a0,a1,b0,b1" in radians
+        "duration_per_setting": (_as_float, 0.1),  # seconds
         "save_timetags": (_as_bool, False),
         "sweep": (_as_bool, False),
         "sweep_points": (_as_int, 16),
         "sweep_phi_b": (_as_float, math.pi / 4),
         "sweep_duration_per_point": (_as_float, 0.05),
     },
-    "source": {
-        "pair_rate": (_as_float, 4.1e7),
-        "pump_power_mw": (_as_float, 4.0),
-        "wavelength_nm": (_as_float, 806.0),
-    },
-    "channel": {
-        "loss_a_db": (_as_float, 3.0),
-        "loss_b_db": (_as_float, 17.0),
-        "coupling_loss_db": (_as_float, 15.0),
-        "filter_transmission": (_as_float, 0.9),
-    },
-    "detector": {
-        "efficiency": (_as_float, 0.6),
-        "dark_rate": (_as_float, 100.0),
-        "jitter_sigma": (_as_float, 350e-12),
-        "dead_time": (_as_float, 1e-6),
-    },
-    "arms": {
-        "delta_t": (_as_float, 10e-9),
-        "imbalance": (_as_float, 0.0),
-        "coherence_length": (_as_float, 1e-3),
-    },
+    "source": {"pair_rate": (_as_float, 4.1e7)},
+    "channel": _fields_of(ChannelParams),
+    "detector": _fields_of(DetectorParams),
+    "arms": _fields_of(ArmConfig),
     "coincidence": {
         "window": (_as_float, 1e-9),
         "bob_link_delay": (_as_float, 18.5e-6),
@@ -110,45 +113,44 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
     },
     "lock": {
         "enabled": (_as_bool, False),
-        "drift_model": (str, "random-walk"),
+        "drift_model": (_as_str, "random-walk"),
         "diffusion": (_as_float, 2.0),
         "reversion_rate": (_as_float, 0.0),
         "duration": (_as_float, 1.0),
-        "kp": (_as_float, 0.6),
-        "ki": (_as_float, 20_000.0),
-        "kd": (_as_float, 2e-6),
-        "loop_rate": (_as_float, 50_000.0),
-        "bandwidth": (_as_float, 5_000.0),
-        "actuator_range": (_as_float, 60.0),
-        "highpass_cutoff": (_as_float, 20.0),
         "setpoint": (_as_float, -math.pi / 4),
+        **_fields_of(PidParams),
     },
 }
 
 
 @dataclass
 class RunConfig:
-    """Fully validated configuration, typed per subsystem."""
+    """Fully validated configuration: the subsystem objects plus the run-level keys."""
 
     raw: dict[str, dict[str, Any]]
-    mode: str
     geometry: Geometry
-    seed: int
     convention: str
     quad: SettingsQuad
+    source: SourceParams  # duration 0: each block sets its own duration and seed
+    channel: ChannelParams
+    detector: DetectorParams
+    arms: ArmConfig
+    drift: DriftProcess
+    reference: ReferenceSignal
+    pid: PidParams
+    lock_enabled: bool
+    lock_duration: float
+    lock_setpoint: float
+    # the remaining [run] keys
+    mode: str
+    seed: int
     duration_per_setting: float
-    n_pairs: int
     save_timetags: bool
     sweep: bool
     sweep_points: int
     sweep_phi_b: float
     sweep_duration_per_point: float
-    channel: ChannelParams
-    detector: DetectorParams
-    arms: ArmConfig
-    pair_rate: float
-    pump_power_mw: float
-    wavelength_nm: float
+    # the [coincidence] and [dephasing] keys
     window: float
     bob_link_delay: float
     sync: bool
@@ -157,21 +159,6 @@ class RunConfig:
     sync_max_pulses: int
     source_visibility: float
     alice_phase_sigma: float
-    lock_enabled: bool
-    lock_duration: float
-    drift: DriftProcess
-    reference: ReferenceSignal
-    pid: PidParams
-    lock_setpoint: float
-
-    def source_params(self, duration: float, seed: int) -> SourceParams:
-        return SourceParams(
-            pair_rate=self.pair_rate,
-            duration=duration,
-            seed=seed,
-            pump_power_mw=self.pump_power_mw,
-            signal_wavelength_nm=self.wavelength_nm,
-        )
 
 
 def _read_sections(path: Path) -> dict[str, dict[str, Any]]:
@@ -194,7 +181,6 @@ def _read_sections(path: Path) -> dict[str, dict[str, Any]]:
 
 def resolve_sections(sections: dict[str, dict[str, Any]]) -> dict[str, dict[str, Any]]:
     """Validate sections against the schema and fill in defaults."""
-    resolved: dict[str, dict[str, Any]] = {}
     for section, entries in sections.items():
         if section not in SCHEMA:
             raise ConfigurationError(
@@ -206,17 +192,13 @@ def resolve_sections(sections: dict[str, dict[str, Any]]) -> dict[str, dict[str,
                     f"unknown key {key!r} in section [{section}]; "
                     f"expected one of {sorted(SCHEMA[section])}"
                 )
+    resolved = {}
     for section, keys in SCHEMA.items():
         got = sections.get(section, {})
-        out: dict[str, Any] = {}
-        for key, (conv, default) in keys.items():
-            if key in got:
-                out[key] = conv(got[key], f"[{section}] {key}") if conv is not str else str(
-                    got[key]
-                ).strip()
-            else:
-                out[key] = default
-        resolved[section] = out
+        resolved[section] = {
+            key: conv(got[key], f"[{section}] {key}") if key in got else default
+            for key, (conv, default) in keys.items()
+        }
     return resolved
 
 
@@ -264,9 +246,19 @@ def _check_emission_memory(r: dict[str, dict[str, Any]]) -> None:
         )
 
 
+def _build(section: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``make(*args, **kwargs)``, a contract violation reported against ``[section]``."""
+    try:
+        return make(*args, **kwargs)
+    except ContractViolation as exc:
+        raise ConfigurationError(f"[{section}] {exc}") from exc
+
+
 def build_config(sections: dict[str, dict[str, Any]]) -> RunConfig:
     r = resolve_sections(sections)
     run = r["run"]
+    cc = r["coincidence"]
+    lock = r["lock"]
 
     mode = run["mode"]
     if mode != "quantum" and not mode.startswith("lhv:"):
@@ -288,111 +280,74 @@ def build_config(sections: dict[str, dict[str, Any]]) -> RunConfig:
         except (ContractViolation, StrategyGeometryError) as exc:
             raise ConfigurationError(f"[run] mode {mode!r}: {exc}") from exc
     quad = _parse_settings(run["settings"], convention)
+    if run["seed"] < 0:
+        raise ConfigurationError(f"[run] seed must be a non-negative integer, got {run['seed']}")
 
-    try:
-        channel = ChannelParams(
-            loss_a_db=r["channel"]["loss_a_db"],
-            loss_b_db=r["channel"]["loss_b_db"],
-            coupling_loss_db=r["channel"]["coupling_loss_db"],
-            filter_transmission=r["channel"]["filter_transmission"],
-        )
-        detector = DetectorParams(
-            efficiency=r["detector"]["efficiency"],
-            dark_rate=r["detector"]["dark_rate"],
-            jitter_sigma=r["detector"]["jitter_sigma"],
-            dead_time=r["detector"]["dead_time"],
-        )
-        arms = ArmConfig(
-            delta_t=r["arms"]["delta_t"],
-            imbalance=r["arms"]["imbalance"],
-            coherence_length=r["arms"]["coherence_length"],
-        )
-        drift = DriftProcess(
-            model=r["lock"]["drift_model"],
-            diffusion=r["lock"]["diffusion"],
-            reversion_rate=r["lock"]["reversion_rate"],
-            sample_rate=r["lock"]["loop_rate"],
-        )
-        pid = PidParams(
-            kp=r["lock"]["kp"],
-            ki=r["lock"]["ki"],
-            kd=r["lock"]["kd"],
-            loop_rate=r["lock"]["loop_rate"],
-            bandwidth=r["lock"]["bandwidth"],
-            actuator_range=r["lock"]["actuator_range"],
-            highpass_cutoff=r["lock"]["highpass_cutoff"],
-        )
-    except Exception as exc:
-        raise ConfigurationError(str(exc)) from exc
+    source = _build("source", SourceParams, duration=0.0, **r["source"])
+    channel = _build("channel", ChannelParams, **r["channel"])
+    detector = _build("detector", DetectorParams, **r["detector"])
+    arms = _build("arms", ArmConfig, **r["arms"])
+    pid = _build("lock", PidParams, **{f.name: lock[f.name] for f in fields(PidParams)})
+    drift = _build(
+        "lock",
+        DriftProcess,
+        model=lock["drift_model"],
+        diffusion=lock["diffusion"],
+        reversion_rate=lock["reversion_rate"],
+        sample_rate=pid.loop_rate,
+    )
+    window = cc["window"]
+    delay = cc["bob_link_delay"]
+    _build("coincidence", CoincidenceConfig.from_seconds, window, delay, arms.delta_t)
+    _build("dephasing", validate_visibility, r["dephasing"]["source_visibility"])
 
-    window = r["coincidence"]["window"]
-    if not window > 0:
-        raise ConfigurationError("[coincidence] window must be positive")
-    if 2.0 * window >= arms.delta_t:
-        raise ConfigurationError(
-            f"[coincidence] window ({window:g} s) must be below half of "
-            f"[arms] delta_t ({arms.delta_t:g} s) or slots are unresolvable"
-        )
     if detector.jitter_sigma > window:
         raise ConfigurationError(
             f"[detector] jitter_sigma ({detector.jitter_sigma:g} s) exceeds the "
             f"coincidence window ({window:g} s); matched pairs would be lost"
         )
-    vis = r["dephasing"]["source_visibility"]
-    if not 0.0 <= vis <= 1.0:
-        raise ConfigurationError("[dephasing] source_visibility must be in [0, 1]")
     if not 0.0 <= r["dephasing"]["alice_phase_sigma"] <= 2.0 * math.pi:
         raise ConfigurationError(
             "[dephasing] alice_phase_sigma must be in [0, 2 pi] rad: at 2 pi the "
             "dephasing factor exp(-sigma^2 / 2) = exp(-2 pi^2) ~ 3e-9 is already full"
         )
-    if not r["source"]["pair_rate"] > 0:
-        raise ConfigurationError("[source] pair_rate must be positive")
     for key in ("duration_per_setting", "sweep_duration_per_point"):
         if not run[key] > 0:
             raise ConfigurationError(f"[run] {key} must be positive")
     _check_emission_memory(r)
-    if r["coincidence"]["sync_max_pulses"] < 1:
+    if cc["sync_max_pulses"] < 1:
         raise ConfigurationError("[coincidence] sync_max_pulses must be at least 1")
-    if run["n_pairs"] <= 0:
-        raise ConfigurationError("[run] n_pairs must be positive")
+    if not 0.0 < cc["sync_bin"] < cc["sync_search_span"]:
+        raise ConfigurationError(
+            f"[coincidence] need 0 < sync_bin < sync_search_span, got sync_bin = "
+            f"{cc['sync_bin']:g} s and sync_search_span = {cc['sync_search_span']:g} s"
+        )
     if run["sweep"] and run["sweep_points"] < 5:
         raise ConfigurationError("[run] sweep_points must be at least 5")
+    if not lock["duration"] * pid.loop_rate >= 2.0:
+        raise ConfigurationError(
+            f"[lock] duration ({lock['duration']:g} s) must span at least two loop "
+            f"samples of 1 / loop_rate = {1.0 / pid.loop_rate:g} s"
+        )
 
     return RunConfig(
         raw=r,
-        mode=mode,
         geometry=geometry,
-        seed=run["seed"],
         convention=convention,
         quad=quad,
-        duration_per_setting=run["duration_per_setting"],
-        n_pairs=run["n_pairs"],
-        save_timetags=run["save_timetags"],
-        sweep=run["sweep"],
-        sweep_points=run["sweep_points"],
-        sweep_phi_b=run["sweep_phi_b"],
-        sweep_duration_per_point=run["sweep_duration_per_point"],
+        source=source,
         channel=channel,
         detector=detector,
         arms=arms,
-        pair_rate=r["source"]["pair_rate"],
-        pump_power_mw=r["source"]["pump_power_mw"],
-        wavelength_nm=r["source"]["wavelength_nm"],
-        window=window,
-        bob_link_delay=r["coincidence"]["bob_link_delay"],
-        sync=r["coincidence"]["sync"],
-        sync_search_span=r["coincidence"]["sync_search_span"],
-        sync_bin=r["coincidence"]["sync_bin"],
-        sync_max_pulses=r["coincidence"]["sync_max_pulses"],
-        source_visibility=vis,
-        alice_phase_sigma=r["dephasing"]["alice_phase_sigma"],
-        lock_enabled=r["lock"]["enabled"],
-        lock_duration=r["lock"]["duration"],
         drift=drift,
         reference=ReferenceSignal(),
         pid=pid,
-        lock_setpoint=r["lock"]["setpoint"],
+        lock_enabled=lock["enabled"],
+        lock_duration=lock["duration"],
+        lock_setpoint=lock["setpoint"],
+        **{k: v for k, v in run.items() if k not in ("geometry", "phase_convention", "settings")},
+        **cc,
+        **r["dephasing"],
     )
 
 

@@ -47,8 +47,6 @@ class SourceParams:
     pair_rate: float  # pairs per second at the source
     duration: float  # seconds
     seed: int = 0
-    pump_power_mw: float = 4.0  # metadata
-    signal_wavelength_nm: float = 806.0  # metadata
 
     def __post_init__(self) -> None:
         if not self.pair_rate > 0:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -144,13 +144,12 @@ def run_setting_block(
     With ``save_to`` = (time-tag file, coincidence CSV), the block's tags
     and coincidence records are written there from the arrays it analysed.
     """
-    src = cfg.source_params(duration, seed)
     sim = simulate_experiment(
         cfg.geometry,
         strategy if strategy is not None else "quantum",
         phi_a,
         phi_b,
-        src,
+        replace(cfg.source, duration=duration, seed=seed),
         cfg.channel,
         cfg.detector,
         cfg.arms,
@@ -168,13 +167,7 @@ def run_setting_block(
         offset_s = recover_offset(pulses, received, cfg.sync_search_span, cfg.sync_bin)
     else:
         offset_s = cfg.bob_link_delay
-    offset_ps = int(round(offset_s * 1e12))
-
-    cc_cfg = CoincidenceConfig(
-        window_ps=int(round(cfg.window * 1e12)),
-        offset_ps=offset_ps,
-        delta_t_ps=int(round(cfg.arms.delta_t * 1e12)),
-    )
+    cc_cfg = CoincidenceConfig.from_seconds(cfg.window, offset_s, cfg.arms.delta_t)
 
     post_counts = {}
     full_counts = {}
@@ -191,15 +184,15 @@ def run_setting_block(
         n_ls += post.discarded_ls
         n_sl += post.discarded_sl
         accidental_pairs += count_in_window(
-            alice[x], bob[y], control_center, cc_cfg.window_ps, offset_ps
+            alice[x], bob[y], control_center, cc_cfg.window_ps, cc_cfg.offset_ps
         )
         if save_to is not None:
             sets.append(coinc)
     if save_to is not None:
         _write_block_tags(save_to, alice, bob, sets)
 
-    alice_rate = (len(alice[1]) + len(alice[2])) / duration
-    bob_rate = (len(bob[1]) + len(bob[2])) / duration
+    alice_rate = sim.singles_rate(ALICE)
+    bob_rate = sim.singles_rate(BOB)
     return BlockResult(
         phi_a=phi_a,
         phi_b=phi_b,

@@ -57,18 +57,22 @@ class CoincidenceConfig:
         if 2 * self.window_ps >= self.delta_t_ps:
             raise ContractViolation(
                 f"window ({self.window_ps} ps) must be below delta_t / 2 "
-                f"({self.delta_t_ps / 2:.0f} ps) for resolvable slots"
+                f"({self.delta_t_ps / 2:.0f} ps) or slots are unresolvable"
             )
 
     @classmethod
     def from_seconds(
         cls, window: float, offset: float = 0.0, delta_t: float = 10e-9
     ) -> "CoincidenceConfig":
-        return cls(
-            window_ps=int(round(window * 1e12)),
-            offset_ps=int(round(offset * 1e12)),
-            delta_t_ps=int(round(delta_t * 1e12)),
-        )
+        """Each time rounded to the nearest picosecond, which must fit in an int64."""
+        ps = [x * 1e12 for x in (window, offset, delta_t)]
+        if not all(abs(x) < 2.0**63 for x in ps):
+            raise ContractViolation(
+                f"window ({window:g} s), offset ({offset:g} s) and delta_t ({delta_t:g} s) "
+                "must fit in int64 picoseconds"
+            )
+        window_ps, offset_ps, delta_t_ps = (int(round(x)) for x in ps)
+        return cls(window_ps=window_ps, offset_ps=offset_ps, delta_t_ps=delta_t_ps)
 
 
 @dataclass

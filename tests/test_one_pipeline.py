@@ -1,11 +1,12 @@
 """Guard against test-only twins of the production path.
 
-Every public top-level function or class in ``src/etbell`` must be used
-somewhere in ``src/etbell`` (a name or attribute reference, not just an
-import), or be on the short allow-list below.  A helper that only tests
-call is a second implementation of something the product does its own
-way; re-point its tests at the function ``etbell run`` executes instead.
-Methods are not checked.
+Every public top-level function or class in ``src/etbell``, and every
+public method of such a class, must be used somewhere in ``src/etbell``
+(a name or attribute reference, not just an import).  Only top-level
+names may sit on the short allow-list below; methods have none.  A helper
+that only tests call is a second implementation of something the product
+does its own way; re-point its tests at the function ``etbell run``
+executes instead.
 """
 
 import ast
@@ -27,13 +28,20 @@ ALLOWED_UNREFERENCED = {
 }
 
 
+def _is_public(node: ast.stmt) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+
+
 def public_definitions(src: Path) -> dict[str, str]:
-    """Public top-level function and class names -> defining file name."""
+    """Public top-level function and class names, and ``Class.method`` for
+    each public method of those classes -> defining file name."""
     out = {}
     for path in sorted(src.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                out[node.name] = path.name
+        for node in filter(_is_public, ast.parse(path.read_text(encoding="utf-8")).body):
+            out[node.name] = path.name
+            if isinstance(node, ast.ClassDef):
+                for method in filter(_is_public, node.body):
+                    out[f"{node.name}.{method.name}"] = path.name
     return out
 
 
@@ -54,7 +62,7 @@ def unreferenced(src: Path) -> list[str]:
     return sorted(
         f"{module}:{name}"
         for name, module in public_definitions(src).items()
-        if name not in used and name not in ALLOWED_UNREFERENCED
+        if name.rsplit(".", 1)[-1] not in used and name not in ALLOWED_UNREFERENCED
     )
 
 
@@ -69,7 +77,9 @@ def test_allow_list_names_exist():
 def test_guard_flags_an_unused_helper(tmp_path):
     (tmp_path / "a.py").write_text(
         "def used():\n    return 1\n\n\ndef twin():\n    return used()\n\n\n"
-        "def _private():\n    pass\n\n\nclass Orphan:\n    pass\n"
+        "def _private():\n    pass\n\n\nclass Orphan:\n    pass\n\n\n"
+        "class Kept:\n    def run(self):\n        return self._step()\n\n"
+        "    def _step(self):\n        return 1\n\n    def rate(self):\n        return 2\n"
     )
-    (tmp_path / "b.py").write_text("from .a import Orphan\n\nprint(Orphan)\n")
-    assert unreferenced(tmp_path) == ["a.py:twin"]
+    (tmp_path / "b.py").write_text("from .a import Kept, Orphan\n\nprint(Orphan, Kept().run())\n")
+    assert unreferenced(tmp_path) == ["a.py:Kept.rate", "a.py:twin"]

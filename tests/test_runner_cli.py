@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from etbell import cli, runner
 from etbell.config import (
+    SCHEMA,
     build_config,
     bundled_config_names,
     bundled_config_path,
@@ -132,7 +134,7 @@ class TestConfig:
         a = load_config(ini)
         b = load_config(js)
         assert a.seed == b.seed == 9
-        assert a.pair_rate == b.pair_rate == 1234.0
+        assert a.source.pair_rate == b.source.pair_rate == 1234.0
 
     def test_bundled_configs_load(self):
         assert {"paper.cfg", "loophole.cfg", "hug-lhv.cfg", "demo.cfg"} <= set(
@@ -149,6 +151,39 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigurationError, match="not found"):
             load_config("/nonexistent/nope.cfg")
+
+
+# Each key of the schema meets its default and a set of hostile values.
+GRID_VALUES = {
+    "default": None,
+    "0": 0,
+    "-1": -1,
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "1e300": 1e300,
+    "abc": "abc",
+    "empty": "",
+}
+SECTION_TAG = re.compile(r"\[(%s)\]" % "|".join(SCHEMA))
+
+
+@pytest.mark.parametrize("value", list(GRID_VALUES), ids=list(GRID_VALUES))
+@pytest.mark.parametrize("section, key", [(s, k) for s in SCHEMA for k in SCHEMA[s]])
+def test_schema_grid_loads_or_names_a_section(section, key, value):
+    raw = SCHEMA[section][key][1] if value == "default" else GRID_VALUES[value]
+    try:
+        build_config({section: {key: raw}})
+    except ConfigurationError as exc:
+        assert SECTION_TAG.search(str(exc)), str(exc)
+
+
+@pytest.mark.parametrize(
+    "section, key", [("run", "n_pairs"), ("source", "pump_power_mw"), ("source", "wavelength_nm")]
+)
+def test_keys_nothing_reads_are_unknown(section, key):
+    with pytest.raises(ConfigurationError, match=f"unknown key '{key}' in section \\[{section}\\]"):
+        build_config({section: {key: 1}})
 
 
 class TestRunExperiment:
@@ -346,6 +381,11 @@ class TestCli:
             ("[source]\npair_rate = 1e30\n", "GB"),
             ("[run]\nmode = lhv:faking\ngeometry = hug\n", "cross-linked"),
             ("[dephasing]\nalice_phase_sigma = 1e200\n", "2 pi"),
+            ("[lock]\nenabled = on\nduration = 1e-6\n", "two loop samples"),
+            ("[lock]\nenabled = on\nduration = -1\n", "two loop samples"),
+            ("[run]\nseed = -1\n", "non-negative"),
+            ("[coincidence]\nsync_bin = 0\n", "sync_bin"),
+            ("[coincidence]\nsync_search_span = 1e-12\n", "sync_search_span"),
         ],
     )
     def test_load_time_rejections_exit_code(self, tmp_path, body, needle, capsys):
@@ -354,6 +394,14 @@ class TestCli:
         assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "never")]) == 1
         assert needle in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
+
+    def test_negative_seed_flag_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text("[run]\nduration_per_setting = 0.02\n")
+        out_dir = tmp_path / "never"
+        assert cli.main(["run", str(cfg_path), "--out", str(out_dir), "--seed", "-1"]) == 1
+        assert "non-negative" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_config_exit_code(self, capsys):
         assert cli.main(["run", "no-such-config.cfg", "--out", "/tmp/never"]) == 1
